@@ -77,11 +77,10 @@ int main() {
                        : acq == CboAcquisition::kPenalizedEi ? "penalty-EI"
                                                              : "plain-EI",
                        space.dim(), options);
-    SessionOptions so;
+    EventSessionOptions so = SequentialSessionOptions();
     so.max_iterations = config.iterations;
     so.sla_tolerance = config.sla_tolerance;
-    TuningSession session(&sim, &advisor, so);
-    const auto result = session.Run();
+    const auto result = EventTuningSession(&sim, &advisor, so).Run();
     if (!result.ok()) continue;
     int violations = 0;
     for (const IterationRecord& rec : result->history) {
@@ -131,11 +130,10 @@ int main() {
     auto sim = MakeSimulator(space, 'A', target, config).value();
     ResTuneAdvisor advisor(space.dim(), space.DefaultTheta(), learners,
                            meta_feature, variant.options);
-    SessionOptions so;
+    EventSessionOptions so = SequentialSessionOptions();
     so.max_iterations = config.iterations;
     so.sla_tolerance = config.sla_tolerance;
-    TuningSession session(&sim, &advisor, so);
-    const auto result = session.Run();
+    const auto result = EventTuningSession(&sim, &advisor, so).Run();
     if (!result.ok()) {
       std::fprintf(stderr, "%s failed: %s\n", variant.label,
                    result.status().ToString().c_str());

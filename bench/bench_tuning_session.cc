@@ -15,7 +15,7 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "tuner/restune_advisor.h"
-#include "tuner/session.h"
+#include "tuner/event_session.h"
 
 namespace restune {
 namespace {
@@ -44,7 +44,7 @@ void BM_TuningSessionShort(benchmark::State& state) {
   Logger::SetThreshold(LogLevel::kError);
   const int iterations = static_cast<int>(state.range(0));
   const size_t threads = static_cast<size_t>(state.range(1));
-  SessionOptions options;
+  EventSessionOptions options = SequentialSessionOptions();
   options.max_iterations = iterations;
   options.sla_tolerance = 0.05;
   for (auto _ : state) {
@@ -52,7 +52,7 @@ void BM_TuningSessionShort(benchmark::State& state) {
     DbInstanceSimulator sim = BenchSimulator();
     ResTuneAdvisor advisor = BenchAdvisor(&pool);
     const Result<SessionResult> result =
-        TuningSession(&sim, &advisor, options).Run();
+        EventTuningSession(&sim, &advisor, options).Run();
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       break;

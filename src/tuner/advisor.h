@@ -33,10 +33,13 @@ struct IterationTiming {
   double recommendation_s = 0.0;
 };
 
-/// A knob-recommendation strategy. The `TuningSession` drives the loop:
+/// A knob-recommendation strategy. The `EventTuningSession` drives the loop:
 ///
 ///   Begin(default observation, SLA)            — once
-///   repeat: θ = SuggestNext(); Observe(eval(θ))
+///   repeat: θ = SuggestNextAsync(pending); Observe(eval(θ))
+///
+/// With `SequentialSessionOptions()` nothing is ever pending, so this is the
+/// paper's sequential loop `θ = SuggestNext(); Observe(eval(θ))`.
 ///
 /// Implementations: ResTune (meta-learned CBO), plain CBO (ResTune-w/o-ML),
 /// iTuned (unconstrained EI), OtterTune-w-Con (workload mapping + CEI),

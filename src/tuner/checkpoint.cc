@@ -2,13 +2,10 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 namespace restune {
 namespace {
 
-constexpr const char* kMagic = "restune-checkpoint";
-constexpr int kVersion = 1;
 constexpr const char* kEventMagic = "restune-event-checkpoint";
 constexpr int kEventVersion = 1;
 
@@ -93,40 +90,6 @@ Status ReadObservation(std::istream* in, Observation* obs) {
   }
   RESTUNE_RETURN_IF_ERROR(ReadVector(in, &obs->theta));
   return ReadVector(in, &obs->internals);
-}
-
-void WriteSessionEvent(std::ostream* out, const SessionEvent& event) {
-  *out << "event " << event.iteration << ' ' << (event.failed ? 1 : 0) << ' '
-       << static_cast<int>(event.fault) << ' ' << event.attempts << ' '
-       << event.backoff_seconds << '\n';
-  *out << "theta ";
-  WriteVector(out, event.theta);
-  if (!event.failed) {
-    *out << "obs\n";
-    WriteObservation(out, event.observation);
-  }
-}
-
-Status ReadSessionEvent(std::istream* in, SessionEvent* event) {
-  RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "event"));
-  int failed = 0;
-  int fault = 0;
-  if (!(*in >> event->iteration >> failed >> fault >> event->attempts >>
-        event->backoff_seconds)) {
-    return Status::IoError("bad event in checkpoint");
-  }
-  if (fault < 0 || fault >= static_cast<int>(kNumFaultKinds)) {
-    return Status::IoError("bad fault kind in checkpoint");
-  }
-  event->failed = failed != 0;
-  event->fault = static_cast<FaultKind>(fault);
-  RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "theta"));
-  RESTUNE_RETURN_IF_ERROR(ReadVector(in, &event->theta));
-  if (!event->failed) {
-    RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "obs"));
-    RESTUNE_RETURN_IF_ERROR(ReadObservation(in, &event->observation));
-  }
-  return Status::OK();
 }
 
 void WriteEventRecord(std::ostream* out, const EventRecord& record) {
@@ -232,151 +195,6 @@ Status ReadInFlightRecord(std::istream* in, InFlightRecord* record) {
     RESTUNE_RETURN_IF_ERROR(ReadObservation(in, &record->observation));
   }
   return Status::OK();
-}
-
-Status SaveSessionCheckpoint(const SessionCheckpoint& checkpoint,
-                             std::ostream* out) {
-  out->precision(17);  // exact double round-trip
-  *out << kMagic << ' ' << kVersion << '\n';
-  *out << "iteration " << checkpoint.iteration << '\n';
-  *out << "default\n";
-  WriteObservation(out, checkpoint.default_observation);
-  *out << "sla " << checkpoint.sla.min_tps << ' ' << checkpoint.sla.max_lat
-       << '\n';
-  const DbInstanceSimulator::State& sim = checkpoint.simulator_state;
-  *out << "simstate " << sim.num_evaluations << ' ' << sim.simulated_seconds
-       << '\n';
-  *out << "simrng ";
-  WriteRngState(out, sim.rng);
-  *out << "faultrng ";
-  WriteRngState(out, sim.fault_rng);
-  *out << "suprng ";
-  WriteRngState(out, checkpoint.supervisor_rng);
-  *out << "events " << checkpoint.events.size() << '\n';
-  for (const SessionEvent& event : checkpoint.events) {
-    WriteSessionEvent(out, event);
-  }
-  // Optional section (format is whitespace-token based, so metric names —
-  // which never contain whitespace — round-trip as single tokens).
-  if (!checkpoint.metrics.empty()) {
-    *out << "metrics " << checkpoint.metrics.size() << '\n';
-    for (const auto& [name, value] : checkpoint.metrics) {
-      *out << name << ' ' << value << '\n';
-    }
-  }
-  *out << "end\n";
-  if (!out->good()) return Status::IoError("checkpoint write failed");
-  return Status::OK();
-}
-
-Result<SessionCheckpoint> LoadSessionCheckpoint(std::istream* in) {
-  std::string magic;
-  int version = 0;
-  if (!(*in >> magic >> version)) {
-    return Status::IoError("not a restune checkpoint");
-  }
-  if (magic != kMagic) {
-    return Status::IoError("not a restune checkpoint (magic '" + magic +
-                            "')");
-  }
-  if (version != kVersion) {
-    return Status::NotImplemented("unsupported checkpoint version " +
-                                 std::to_string(version));
-  }
-  SessionCheckpoint checkpoint;
-  RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "iteration"));
-  if (!(*in >> checkpoint.iteration)) {
-    return Status::IoError("bad iteration in checkpoint");
-  }
-  RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "default"));
-  RESTUNE_RETURN_IF_ERROR(
-      ReadObservation(in, &checkpoint.default_observation));
-  RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "sla"));
-  if (!(*in >> checkpoint.sla.min_tps >> checkpoint.sla.max_lat)) {
-    return Status::IoError("bad sla in checkpoint");
-  }
-  RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "simstate"));
-  DbInstanceSimulator::State& sim = checkpoint.simulator_state;
-  if (!(*in >> sim.num_evaluations >> sim.simulated_seconds)) {
-    return Status::IoError("bad simulator state in checkpoint");
-  }
-  RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "simrng"));
-  RESTUNE_RETURN_IF_ERROR(ReadRngState(in, &sim.rng));
-  RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "faultrng"));
-  RESTUNE_RETURN_IF_ERROR(ReadRngState(in, &sim.fault_rng));
-  RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "suprng"));
-  RESTUNE_RETURN_IF_ERROR(ReadRngState(in, &checkpoint.supervisor_rng));
-  RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "events"));
-  size_t num_events = 0;
-  if (!(*in >> num_events) || num_events > (1u << 24)) {
-    return Status::IoError("bad event count in checkpoint");
-  }
-  checkpoint.events.reserve(num_events);
-  for (size_t i = 0; i < num_events; ++i) {
-    SessionEvent event;
-    RESTUNE_RETURN_IF_ERROR(ReadSessionEvent(in, &event));
-    checkpoint.events.push_back(std::move(event));
-  }
-  // "metrics" is optional (checkpoints written before the observability
-  // layer end directly with "end").
-  std::string tag;
-  if (!(*in >> tag)) {
-    return Status::IoError("checkpoint truncated: expected 'end'");
-  }
-  if (tag == "metrics") {
-    size_t num_metrics = 0;
-    if (!(*in >> num_metrics) || num_metrics > (1u << 20)) {
-      return Status::IoError("bad metrics count in checkpoint");
-    }
-    checkpoint.metrics.reserve(num_metrics);
-    for (size_t i = 0; i < num_metrics; ++i) {
-      std::string name;
-      int64_t value = 0;
-      if (!(*in >> name >> value)) {
-        return Status::IoError("bad metric entry in checkpoint");
-      }
-      checkpoint.metrics.emplace_back(std::move(name), value);
-    }
-    RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "end"));
-  } else if (tag != "end") {
-    return Status::IoError("checkpoint corrupt: expected 'end', found '" +
-                           tag + "'");
-  }
-  return checkpoint;
-}
-
-Status SaveSessionCheckpointFile(const SessionCheckpoint& checkpoint,
-                                 const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  Status write_status = Status::OK();
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return Status::NotFound("cannot open '" + tmp + "' for write");
-    write_status = SaveSessionCheckpoint(checkpoint, &out);
-    if (write_status.ok()) {
-      out.flush();
-      if (!out.good()) {
-        write_status = Status::IoError("write to '" + tmp + "' failed");
-      }
-    }
-  }
-  // Never leave a half-written temp file behind: a later save would rename
-  // over it anyway, but a crashed run must not be resumable from garbage.
-  if (!write_status.ok()) {
-    std::remove(tmp.c_str());
-    return write_status;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IoError("rename '" + tmp + "' -> '" + path + "' failed");
-  }
-  return Status::OK();
-}
-
-Result<SessionCheckpoint> LoadSessionCheckpointFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open checkpoint '" + path + "'");
-  return LoadSessionCheckpoint(&in);
 }
 
 Status SaveEventSessionCheckpoint(const EventSessionCheckpoint& checkpoint,

@@ -16,67 +16,19 @@
 
 namespace restune {
 
-/// One completed tuning iteration as recorded in a checkpoint: either a
-/// measured observation or a classified failure of the suggested θ. The
-/// event log is the durable form of the session — advisor state is NOT
-/// serialized; it is rebuilt deterministically by replaying the events
-/// through a freshly constructed advisor (same seeds, same options), which
-/// reproduces every internal RNG draw and GP refit bit-for-bit.
-struct SessionEvent {
-  int iteration = 0;
-  bool failed = false;
-  /// The configuration the advisor suggested (always set).
-  Vector theta;
-  /// The measurement; meaningful only when `failed` is false.
-  Observation observation;
-  /// Final classified fault; kNone on success.
-  FaultKind fault = FaultKind::kNone;
-  int attempts = 1;
-  double backoff_seconds = 0.0;
-};
-
-/// Durable state of a `TuningSession`, written periodically so a killed
-/// process can resume mid-session (paper framing: a production tuning
-/// service must survive restarts without losing a half-finished 200-
-/// iteration run). Mutable RNG streams (simulator noise, fault injector,
-/// supervisor jitter) are captured directly; everything advisor-side is
-/// captured as the event log.
-struct SessionCheckpoint {
-  /// Last completed iteration (== events.back().iteration when non-empty).
-  int iteration = 0;
-  Observation default_observation;
-  SlaConstraints sla;
-  std::vector<SessionEvent> events;
-  DbInstanceSimulator::State simulator_state;
-  RngState supervisor_rng;
-  /// Observability counters at checkpoint time. Replay re-executes advisor
-  /// work (inflating the live counters), so resume overwrites them with
-  /// this snapshot once replay completes — a resumed run reports the same
-  /// totals as the uninterrupted one. Optional in the file format: old
-  /// checkpoints without the section load with an empty snapshot.
-  obs::CounterSnapshot metrics;
-};
-
-Status SaveSessionCheckpoint(const SessionCheckpoint& checkpoint,
-                             std::ostream* out);
-Result<SessionCheckpoint> LoadSessionCheckpoint(std::istream* in);
-
-/// File variants. Saving is atomic: the checkpoint is written to
-/// `<path>.tmp` and renamed over `path`, so a crash mid-write never leaves
-/// a torn checkpoint behind.
-Status SaveSessionCheckpointFile(const SessionCheckpoint& checkpoint,
-                                 const std::string& path);
-Result<SessionCheckpoint> LoadSessionCheckpointFile(const std::string& path);
-
-/// --- Event-driven session checkpoint ------------------------------------
+/// --- Session checkpoint --------------------------------------------------
 ///
-/// The event-driven session's durable form is a *totally ordered* log of
-/// launch and completion records. Launches appear in suggestion order (the
-/// order advisor RNG draws happened); completions appear in delivery order,
-/// which is generally OUT OF ORDER relative to launches. Replaying the log
-/// start to finish through a fresh advisor + safety controller reproduces
-/// every internal state bit-for-bit, including mid-flight evaluations that
-/// had been launched but not yet delivered when the process died.
+/// A production tuning service must survive restarts without losing a
+/// half-finished 200-iteration run, so the session periodically writes its
+/// durable form: a *totally ordered* log of launch and completion records.
+/// Launches appear in suggestion order (the order advisor RNG draws
+/// happened); completions appear in delivery order, which is generally OUT
+/// OF ORDER relative to launches. Advisor state is NOT serialized: replaying
+/// the log start to finish through a fresh advisor + safety controller (same
+/// seeds, same options) reproduces every internal state bit-for-bit,
+/// including mid-flight evaluations that had been launched but not yet
+/// delivered when the process died. Mutable RNG streams (simulator noise,
+/// fault injector, supervisor jitter) are captured directly.
 
 enum class EventKind {
   kLaunch = 0,
@@ -146,13 +98,20 @@ struct EventSessionCheckpoint {
   std::vector<InFlightRecord> in_flight;
   DbInstanceSimulator::State simulator_state;
   RngState supervisor_rng;
-  /// Counter snapshot, restored after replay (see SessionCheckpoint).
+  /// Observability counters at checkpoint time. Replay re-executes advisor
+  /// work (inflating the live counters), so resume overwrites them with
+  /// this snapshot once replay completes — a resumed run reports the same
+  /// totals as the uninterrupted one. Optional in the file format.
   obs::CounterSnapshot metrics;
 };
 
 Status SaveEventSessionCheckpoint(const EventSessionCheckpoint& checkpoint,
                                   std::ostream* out);
 Result<EventSessionCheckpoint> LoadEventSessionCheckpoint(std::istream* in);
+
+/// File variants. Saving is atomic: the checkpoint is written to
+/// `<path>.tmp` and renamed over `path`, so a crash mid-write never leaves
+/// a torn checkpoint behind.
 Status SaveEventSessionCheckpointFile(const EventSessionCheckpoint& checkpoint,
                                       const std::string& path);
 Result<EventSessionCheckpoint> LoadEventSessionCheckpointFile(
@@ -165,8 +124,6 @@ void WriteVector(std::ostream* out, const Vector& v);
 Status ReadVector(std::istream* in, Vector* v);
 void WriteObservation(std::ostream* out, const Observation& obs);
 Status ReadObservation(std::istream* in, Observation* obs);
-void WriteSessionEvent(std::ostream* out, const SessionEvent& event);
-Status ReadSessionEvent(std::istream* in, SessionEvent* event);
 void WriteEventRecord(std::ostream* out, const EventRecord& record);
 Status ReadEventRecord(std::istream* in, EventRecord* record);
 void WriteInFlightRecord(std::ostream* out, const InFlightRecord& record);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -59,15 +60,25 @@ std::string JsonVector(const Vector& v) {
   return out;
 }
 
-/// Emits a `{"type":"event",...}` line into the trace (no-op when tracing
-/// is disabled). `body` is the comma-joined tail of the JSON object.
-void TraceEvent(const std::string& body) {
+/// Emits a `{"type":"event",...}` line into the trace. `body()` returns the
+/// comma-joined tail of the JSON object; it runs only when tracing is on,
+/// so an untraced session never formats an event.
+template <typename BodyFn>
+void TraceEvent(BodyFn&& body) {
   obs::Tracer* tracer = obs::Tracer::Global();
   if (!tracer->enabled()) return;
-  tracer->RecordLine("{\"type\":\"event\"," + body + "}");
+  tracer->RecordLine("{\"type\":\"event\"," + body() + "}");
 }
 
 }  // namespace
+
+EventSessionOptions SequentialSessionOptions() {
+  EventSessionOptions options;
+  options.max_in_flight = 1;
+  options.safety.sla.trip_count = options.safety.sla.window + 1;
+  options.safety.constrain_after_failures = std::numeric_limits<int>::max();
+  return options;
+}
 
 EventTuningSession::EventTuningSession(DbInstanceSimulator* simulator,
                                        Advisor* advisor,
@@ -183,7 +194,7 @@ Result<bool> EventTuningSession::Launch(EvaluationSupervisor* supervisor) {
   launch.sla_violated = safety_.sla_violated();
   records_.push_back(launch);
   EventSessionMetrics::Get()->launches->Add();
-  {
+  TraceEvent([&] {
     std::string body = StringPrintf(
         "\"event\":\"launch\",\"seq\":%llu,\"mode\":\"%s\","
         "\"sla_violated\":%d,\"frozen\":%d",
@@ -194,8 +205,8 @@ Result<bool> EventTuningSession::Launch(EvaluationSupervisor* supervisor) {
       body += ",\"trust_center\":" + JsonVector(safety_.safe_theta());
       body += StringPrintf(",\"trust_radius\":%.17g", safety_.trust_radius());
     }
-    TraceEvent(body);
-  }
+    return body;
+  });
 
   // Eager evaluation: the outcome is computed at launch (RNG consumed in
   // launch order — thread-count invariant) but delivered later, when the
@@ -321,20 +332,24 @@ Status EventTuningSession::Ingest(SessionResult* result) {
   complete.sla_violated_after = safety_.sla_violated();
   records_.push_back(complete);
 
-  TraceEvent(StringPrintf(
-      "\"event\":\"complete\",\"seq\":%llu,\"iteration\":%d,\"failed\":%d,"
-      "\"fault\":\"%s\",\"watchdog_killed\":%d,\"feasible\":%d,"
-      "\"mode_after\":\"%s\",\"sla_violated_after\":%d",
-      static_cast<unsigned long long>(eval.seq), iteration,
-      eval.failed ? 1 : 0, FaultKindName(eval.fault),
-      eval.watchdog_killed ? 1 : 0, feasible ? 1 : 0, SessionModeName(after),
-      complete.sla_violated_after ? 1 : 0));
+  TraceEvent([&] {
+    return StringPrintf(
+        "\"event\":\"complete\",\"seq\":%llu,\"iteration\":%d,"
+        "\"failed\":%d,\"fault\":\"%s\",\"watchdog_killed\":%d,"
+        "\"feasible\":%d,\"mode_after\":\"%s\",\"sla_violated_after\":%d",
+        static_cast<unsigned long long>(eval.seq), iteration,
+        eval.failed ? 1 : 0, FaultKindName(eval.fault),
+        eval.watchdog_killed ? 1 : 0, feasible ? 1 : 0,
+        SessionModeName(after), complete.sla_violated_after ? 1 : 0);
+  });
   if (after != before) {
-    TraceEvent(StringPrintf(
-        "\"event\":\"mode_transition\",\"from\":\"%s\",\"to\":\"%s\","
-        "\"seq\":%llu",
-        SessionModeName(before), SessionModeName(after),
-        static_cast<unsigned long long>(eval.seq)));
+    TraceEvent([&] {
+      return StringPrintf(
+          "\"event\":\"mode_transition\",\"from\":\"%s\",\"to\":\"%s\","
+          "\"seq\":%llu",
+          SessionModeName(before), SessionModeName(after),
+          static_cast<unsigned long long>(eval.seq));
+    });
   }
 
   ApplyCompletion(result, iteration, eval, feasible);
@@ -378,8 +393,10 @@ Status EventTuningSession::WriteCheckpoint(
   // Count this write before snapshotting so the stored totals include it.
   EventSessionMetrics::Get()->checkpoints->Add();
   checkpoint.metrics = obs::MetricsRegistry::Global()->Counters();
-  TraceEvent(StringPrintf("\"event\":\"checkpoint\",\"completed\":%d",
-                          completed_));
+  TraceEvent([&] {
+    return StringPrintf("\"event\":\"checkpoint\",\"completed\":%d",
+                        completed_);
+  });
   return SaveEventSessionCheckpointFile(checkpoint,
                                         options_.fault.checkpoint_path);
 }
@@ -442,9 +459,19 @@ Result<SessionResult> EventTuningSession::RunInternal(
     // seq → (theta, frozen) of launches not yet matched by a completion.
     // std::map keeps seq order — the pending-penalization order.
     std::map<uint64_t, Vector> outstanding;
+    uint64_t replayed_launches = 0;
     int replayed_completions = 0;
     for (const EventRecord& record : resume_from->records) {
       if (record.kind == EventKind::kLaunch) {
+        // Launch seqs are issued 0, 1, 2, ... in log order; anything else
+        // (a duplicate, a gap) is a hand-edited or corrupt log.
+        if (record.seq != replayed_launches) {
+          return Status::FailedPrecondition(
+              "checkpoint launch " + std::to_string(record.seq) +
+              " is out of sequence; expected seq " +
+              std::to_string(replayed_launches));
+        }
+        ++replayed_launches;
         // An advisor failure mid-run froze the ladder without a completion
         // event; mirror it so the replayed mode matches.
         if (record.mode == SessionMode::kFrozen &&
@@ -537,6 +564,10 @@ Result<SessionResult> EventTuningSession::RunInternal(
       eval.elapsed_seconds = record.elapsed_seconds;
       eval.watchdog_killed = record.watchdog_killed;
       ApplyCompletion(&result, ++replayed_completions, eval, feasible);
+    }
+    if (replayed_launches != resume_from->launched) {
+      return Status::FailedPrecondition(
+          "checkpoint launch count does not match its event log");
     }
     if (replayed_completions != resume_from->completed) {
       return Status::FailedPrecondition(

@@ -46,6 +46,13 @@ struct EventSessionOptions {
   int halt_after_completions = 0;
 };
 
+/// The paper's sequential tuning loop (Section 4) as an event-session
+/// configuration: one evaluation in flight, so every suggestion sees every
+/// earlier result, and a safety ladder that never leaves healthy (the SLA
+/// monitor cannot collect more violations than its window holds, and
+/// failures never constrain). Every other field keeps its default.
+EventSessionOptions SequentialSessionOptions();
+
 /// Point-in-time progress of a running event session, safe to read from a
 /// monitoring thread while the session loop runs (see
 /// `EventTuningSession::progress`).

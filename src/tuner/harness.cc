@@ -257,14 +257,11 @@ Result<SessionResult> RunMethod(MethodKind method,
       break;
     }
   }
-  SessionOptions session_options;
+  EventSessionOptions session_options = SequentialSessionOptions();
   session_options.max_iterations = config.iterations;
   session_options.sla_tolerance = config.sla_tolerance;
-  session_options.max_consecutive_infeasible =
-      config.max_consecutive_infeasible;
   session_options.fault = config.fault_tolerance;
-  TuningSession session(simulator, advisor.get(), session_options);
-  return session.Run();
+  return EventTuningSession(simulator, advisor.get(), session_options).Run();
 }
 
 int BenchIterations(int default_iters) {

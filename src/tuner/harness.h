@@ -9,7 +9,7 @@
 #include "meta/data_repository.h"
 #include "meta/meta_feature.h"
 #include "sqlgen/generator.h"
-#include "tuner/session.h"
+#include "tuner/event_session.h"
 
 namespace restune {
 
@@ -43,8 +43,6 @@ struct ExperimentConfig {
   /// Session-level fault tolerance (retry policy, failure-aware learning,
   /// checkpointing).
   SessionFaultOptions fault_tolerance;
-  /// Forwarded to SessionOptions::max_consecutive_infeasible (0 = off).
-  int max_consecutive_infeasible = 0;
 };
 
 /// Trains the workload characterizer on labeled queries sampled from every
@@ -86,7 +84,8 @@ struct MethodInputs {
 };
 
 /// Runs one tuning method against a simulator for `config.iterations`
-/// evaluations and returns the session trace.
+/// evaluations on the sequential loop (`SequentialSessionOptions`) and
+/// returns the session trace.
 Result<SessionResult> RunMethod(MethodKind method,
                                 DbInstanceSimulator* simulator,
                                 const MethodInputs& inputs,

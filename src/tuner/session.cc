@@ -1,46 +1,8 @@
 #include "tuner/session.h"
 
-#include <cmath>
 #include <fstream>
 
-#include "common/contracts.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
-
 namespace restune {
-
-namespace {
-
-struct SessionMetrics {
-  obs::Counter* iterations;
-  obs::Counter* checkpoints;
-  obs::Counter* resumes;
-
-  static SessionMetrics* Get() {
-    static SessionMetrics* m = [] {
-      auto* registry = obs::MetricsRegistry::Global();
-      // restune-lint: allow(naked-new) -- intentional leak, handle cache
-      auto* metrics = new SessionMetrics();
-      metrics->iterations =
-          registry->GetCounter("restune_session_iterations_total");
-      metrics->checkpoints =
-          registry->GetCounter("restune_session_checkpoints_total");
-      metrics->resumes = registry->GetCounter("restune_session_resumes_total");
-      return metrics;
-    }();
-    return m;
-  }
-};
-
-/// Rolling loop state shared by the live loop and checkpoint replay, so
-/// both apply identical convergence/safeguard bookkeeping.
-struct LoopState {
-  int stable_iterations = 0;
-  int consecutive_infeasible = 0;
-  Observation last_obs;
-};
-
-}  // namespace
 
 int SessionResult::IterationsToBest(double rel_tol) const {
   const double threshold = best_feasible_res * (1.0 + rel_tol);
@@ -67,275 +29,6 @@ Status SessionResult::WriteCsv(const std::string& path) const {
   }
   return out.good() ? Status::OK()
                     : Status::IoError("write to '" + path + "' failed");
-}
-
-TuningSession::TuningSession(DbInstanceSimulator* simulator, Advisor* advisor,
-                             SessionOptions options)
-    : simulator_(simulator), advisor_(advisor), options_(options) {}
-
-Result<SessionResult> TuningSession::Run() { return RunInternal(nullptr); }
-
-Result<SessionResult> TuningSession::Resume() {
-  if (options_.fault.checkpoint_path.empty()) {
-    return Status::FailedPrecondition(
-        "Resume requires fault.checkpoint_path to be set");
-  }
-  RESTUNE_ASSIGN_OR_RETURN(
-      const SessionCheckpoint checkpoint,
-      LoadSessionCheckpointFile(options_.fault.checkpoint_path));
-  return RunInternal(&checkpoint);
-}
-
-Status TuningSession::WriteCheckpoint(const SessionResult& result,
-                                      const std::vector<SessionEvent>& events,
-                                      const EvaluationSupervisor& supervisor,
-                                      int iteration) {
-  SessionCheckpoint checkpoint;
-  checkpoint.iteration = iteration;
-  checkpoint.default_observation = result.default_observation;
-  checkpoint.sla = result.sla;
-  checkpoint.events = events;
-  checkpoint.simulator_state = simulator_->ExportState();
-  checkpoint.supervisor_rng = supervisor.rng_state();
-  // Count this write before snapshotting so the stored totals include it.
-  SessionMetrics::Get()->checkpoints->Add();
-  checkpoint.metrics = obs::MetricsRegistry::Global()->Counters();
-  return SaveSessionCheckpointFile(checkpoint,
-                                   options_.fault.checkpoint_path);
-}
-
-Result<SessionResult> TuningSession::RunInternal(
-    const SessionCheckpoint* resume_from) {
-  EvaluationSupervisor supervisor(simulator_, options_.fault.retry,
-                                  options_.fault.supervisor_seed);
-  SessionResult result;
-  LoopState state;
-
-  // Applies one completed iteration (measured or failed) to the result and
-  // loop state. Returns 0 to continue, 1 on convergence, 2 when the
-  // infeasibility safeguard trips. Used verbatim by replay, which is what
-  // makes a resumed run's bookkeeping identical to the uninterrupted one.
-  auto apply_iteration = [&](const SessionEvent& event,
-                             const IterationTiming& timing) -> int {
-    IterationRecord rec;
-    rec.iteration = event.iteration;
-    rec.failed = event.failed;
-    rec.fault = event.fault;
-    rec.attempts = event.attempts;
-    rec.backoff_seconds = event.backoff_seconds;
-    rec.timing = timing;
-    rec.replay_seconds = simulator_->options().replay_seconds;
-    if (event.failed) {
-      // No metrics to record; the suggested θ is kept for the trace. A
-      // failed evaluation cannot be feasible and interrupts any stability
-      // streak (the loop observed nothing comparable this iteration).
-      rec.observation.theta = event.theta;
-      rec.feasible = false;
-      ++result.failed_iterations;
-      state.stable_iterations = 0;
-    } else {
-      rec.observation = event.observation;
-      rec.feasible = result.sla.IsFeasible(rec.observation,
-                                           options_.sla_tolerance);
-      if (rec.feasible && rec.observation.res < result.best_feasible_res) {
-        result.best_feasible_res = rec.observation.res;
-        result.best_theta = rec.observation.theta;
-        result.best_iteration = event.iteration;
-      }
-    }
-    rec.best_feasible_res = result.best_feasible_res;
-    result.total_retries += event.attempts - 1;
-    result.history.push_back(rec);
-
-    if (!event.failed) {
-      // Convergence rule: all three metrics stable for a whole window.
-      auto rel_change = [](double now, double before) {
-        return std::fabs(now - before) / std::max(std::fabs(before), 1e-9);
-      };
-      const Observation& obs = rec.observation;
-      const bool stable = rel_change(obs.res, state.last_obs.res) <
-                              options_.convergence_delta &&
-                          rel_change(obs.tps, state.last_obs.tps) <
-                              options_.convergence_delta &&
-                          rel_change(obs.lat, state.last_obs.lat) <
-                              options_.convergence_delta;
-      state.stable_iterations = stable ? state.stable_iterations + 1 : 0;
-      state.last_obs = obs;
-      if (options_.stop_on_convergence &&
-          state.stable_iterations >= options_.convergence_window) {
-        result.converged = true;
-        return 1;
-      }
-    }
-    state.consecutive_infeasible =
-        rec.feasible ? 0 : state.consecutive_infeasible + 1;
-    if (options_.max_consecutive_infeasible > 0 &&
-        state.consecutive_infeasible >= options_.max_consecutive_infeasible) {
-      result.aborted_by_safeguard = true;
-      return 2;
-    }
-    return 0;
-  };
-
-  std::vector<SessionEvent> events;
-  int start_iteration = 1;
-
-  if (resume_from == nullptr) {
-    // The default-configuration evaluation anchors the SLA; it must not die
-    // to a random injected fault, so the supervisor retries every kind here.
-    RESTUNE_ASSIGN_OR_RETURN(
-        const SupervisedEvaluation bootstrap,
-        supervisor.Evaluate(simulator_->knob_space().DefaultTheta(),
-                            /*retry_any_fault=*/true));
-    if (!bootstrap.outcome.ok()) {
-      return Status::Aborted(
-          "default configuration evaluation failed (" +
-          std::string(FaultKindName(bootstrap.outcome.fault().kind)) +
-          "): " + bootstrap.outcome.fault().message);
-    }
-    result.default_observation = bootstrap.outcome.observation();
-    result.sla = DbInstanceSimulator::ConstraintsFromDefault(
-        result.default_observation);
-    result.best_feasible_res = result.default_observation.res;
-    result.best_theta = result.default_observation.theta;
-    result.best_iteration = 0;
-    state.last_obs = result.default_observation;
-    RESTUNE_RETURN_IF_ERROR(
-        advisor_->Begin(result.default_observation, result.sla));
-  } else {
-    // Resume: rebuild the advisor by replaying the event log through it.
-    // Evaluations are NOT re-run — the metrics come from the log and the
-    // simulator/supervisor RNG streams are restored afterwards, so the
-    // continuation consumes exactly the draws the interrupted run would
-    // have.
-    result.resumed = true;
-    SessionMetrics::Get()->resumes->Add();
-    result.default_observation = resume_from->default_observation;
-    result.sla = resume_from->sla;
-    result.best_feasible_res = result.default_observation.res;
-    result.best_theta = result.default_observation.theta;
-    result.best_iteration = 0;
-    state.last_obs = result.default_observation;
-    RESTUNE_RETURN_IF_ERROR(
-        advisor_->Begin(result.default_observation, result.sla));
-
-    // Replay precondition: the event log must be the contiguous prefix
-    // 1..n of a run. A permuted or gap-ridden log (hand-edited checkpoint,
-    // version skew) would otherwise replay "successfully" while recording
-    // bogus iteration numbers in the history.
-    for (size_t i = 0; i < resume_from->events.size(); ++i) {
-      if (resume_from->events[i].iteration != static_cast<int>(i) + 1) {
-        return Status::FailedPrecondition(
-            "checkpoint event log is not a contiguous run prefix: entry " +
-            std::to_string(i) + " has iteration " +
-            std::to_string(resume_from->events[i].iteration) + ", expected " +
-            std::to_string(i + 1));
-      }
-    }
-    for (size_t i = 0; i < resume_from->events.size(); ++i) {
-      const SessionEvent& event = resume_from->events[i];
-      RESTUNE_ASSIGN_OR_RETURN(const Vector theta, advisor_->SuggestNext());
-      // The advisor owns suggestion quality: a non-finite knob here is an
-      // advisor bug, not checkpoint corruption (the recorded theta is only
-      // compared against, never executed, during replay).
-      RESTUNE_DCHECK_ALL_FINITE(theta);
-      // Bitwise verification: the freshly constructed advisor must retrace
-      // the recorded run exactly (checkpoint doubles round-trip exactly at
-      // precision 17). A mismatch means the advisor was rebuilt with
-      // different seeds/options — continuing would silently fork the run.
-      bool matches = theta.size() == event.theta.size();
-      for (size_t c = 0; matches && c < theta.size(); ++c) {
-        matches = theta[c] == event.theta[c];
-      }
-      if (!matches) {
-        return Status::FailedPrecondition(
-            "checkpoint replay diverged at iteration " +
-            std::to_string(event.iteration) +
-            "; advisor was not reconstructed with the original seeds");
-      }
-      if (event.failed) {
-        if (options_.fault.failure_aware_learning) {
-          EvaluationFault fault;
-          fault.kind = event.fault;
-          fault.message = "replayed from checkpoint";
-          RESTUNE_RETURN_IF_ERROR(
-              advisor_->ObserveFailure(event.theta, fault));
-        }
-      } else {
-        RESTUNE_RETURN_IF_ERROR(advisor_->Observe(event.observation));
-      }
-      const int stop = apply_iteration(event, advisor_->last_timing());
-      if (stop != 0 && i + 1 < resume_from->events.size()) {
-        return Status::FailedPrecondition(
-            "checkpoint event log continues past a session stop condition");
-      }
-      if (stop != 0) {
-        if (!resume_from->metrics.empty()) {
-          obs::MetricsRegistry::Global()->RestoreCounters(resume_from->metrics);
-        }
-        return result;
-      }
-    }
-    events = resume_from->events;
-    start_iteration = resume_from->iteration + 1;
-    simulator_->RestoreState(resume_from->simulator_state);
-    supervisor.set_rng_state(resume_from->supervisor_rng);
-    // Replay re-ran the advisor's model work and inflated the live counters;
-    // rewind them to the checkpointed totals so a resumed session reports
-    // the same numbers as the uninterrupted run. Old checkpoints without a
-    // metrics section leave the counters untouched.
-    if (!resume_from->metrics.empty()) {
-      obs::MetricsRegistry::Global()->RestoreCounters(resume_from->metrics);
-    }
-  }
-
-  for (int iter = start_iteration; iter <= options_.max_iterations; ++iter) {
-    RESTUNE_TRACE_SPAN("session.iteration");
-    SessionMetrics::Get()->iterations->Add();
-    Result<Vector> suggestion = [&]() -> Result<Vector> {
-      RESTUNE_TRACE_SPAN("session.suggest");
-      return advisor_->SuggestNext();
-    }();
-    if (!suggestion.ok()) {
-      if (suggestion.status().code() == StatusCode::kOutOfRange) break;
-      return suggestion.status();
-    }
-    RESTUNE_DCHECK_ALL_FINITE(*suggestion);
-    RESTUNE_ASSIGN_OR_RETURN(const SupervisedEvaluation supervised,
-                             supervisor.Evaluate(*suggestion));
-
-    SessionEvent event;
-    event.iteration = iter;
-    event.theta = *suggestion;
-    event.attempts = supervised.attempts;
-    event.backoff_seconds = supervised.backoff_seconds;
-    if (supervised.outcome.ok()) {
-      event.observation = supervised.outcome.observation();
-      RESTUNE_RETURN_IF_ERROR(advisor_->Observe(event.observation));
-    } else {
-      event.failed = true;
-      event.fault = supervised.outcome.fault().kind;
-      if (options_.fault.failure_aware_learning) {
-        RESTUNE_RETURN_IF_ERROR(
-            advisor_->ObserveFailure(*suggestion, supervised.outcome.fault()));
-      }
-    }
-    events.push_back(event);
-
-    const int stop = apply_iteration(event, advisor_->last_timing());
-    if (!options_.fault.checkpoint_path.empty() &&
-        options_.fault.checkpoint_period > 0 &&
-        (stop != 0 || iter % options_.fault.checkpoint_period == 0)) {
-      RESTUNE_RETURN_IF_ERROR(
-          WriteCheckpoint(result, events, supervisor, iter));
-    }
-    if (stop != 0) break;
-  }
-  if (!options_.fault.checkpoint_path.empty() && !events.empty()) {
-    RESTUNE_RETURN_IF_ERROR(WriteCheckpoint(result, events, supervisor,
-                                            events.back().iteration));
-  }
-  return result;
 }
 
 }  // namespace restune

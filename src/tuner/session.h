@@ -7,7 +7,6 @@
 #include "common/result.h"
 #include "dbsim/simulator.h"
 #include "tuner/advisor.h"
-#include "tuner/checkpoint.h"
 #include "tuner/supervisor.h"
 
 namespace restune {
@@ -28,27 +27,6 @@ struct SessionFaultOptions {
   int checkpoint_period = 10;
   /// Seed of the supervisor's backoff-jitter RNG.
   uint64_t supervisor_seed = 0x5eed;
-};
-
-/// Options for a tuning session.
-struct SessionOptions {
-  int max_iterations = 200;
-  /// Relative tolerance when judging SLA feasibility (the paper accepts 5%
-  /// measurement deviation).
-  double sla_tolerance = 0.0;
-  /// Stop when res/tps/lat all change by less than `convergence_delta`
-  /// (relative) for `convergence_window` consecutive iterations — the
-  /// paper's convergence rule (0.5% over 10 iterations, Section 4).
-  bool stop_on_convergence = false;
-  double convergence_delta = 0.005;
-  int convergence_window = 10;
-  /// Safety rail for production/online-troubleshooting use (Section 1's
-  /// recovery-time framing): abort the session if this many consecutive
-  /// suggestions violate the SLA. Failed evaluations count as violations.
-  /// 0 disables the guard.
-  int max_consecutive_infeasible = 0;
-  /// Retry/backoff, failure-aware learning, and checkpointing policy.
-  SessionFaultOptions fault;
 };
 
 /// Per-iteration record of a tuning session.
@@ -72,7 +50,7 @@ struct IterationRecord {
   double backoff_seconds = 0.0;
 };
 
-/// Outcome of a tuning session.
+/// Outcome of a tuning session (see `EventTuningSession`).
 struct SessionResult {
   Observation default_observation;
   SlaConstraints sla;
@@ -80,10 +58,6 @@ struct SessionResult {
   double best_feasible_res = 0.0;
   Vector best_theta;
   int best_iteration = 0;  // 0 = default configuration
-  bool converged = false;
-  /// True when the session ended because the infeasibility safety rail
-  /// tripped (the advisor kept violating the SLA).
-  bool aborted_by_safeguard = false;
   /// Iterations whose evaluation failed after all supervision.
   int failed_iterations = 0;
   /// Extra evaluation attempts spent on retries across the whole session.
@@ -99,41 +73,6 @@ struct SessionResult {
   /// (iteration,res,tps,lat,feasible,best_feasible_res,failed,fault,attempts)
   /// for plotting.
   Status WriteCsv(const std::string& path) const;
-};
-
-/// Drives one tuning task end to end: evaluates the DBA default to fix the
-/// SLA thresholds, then loops advisor suggestion → supervised replay →
-/// feedback, tracking the best feasible configuration (the paper's tuning
-/// loop, Section 4). Every evaluation runs under the `EvaluationSupervisor`
-/// (deadline, bounded retries with backoff); persistent failures feed back
-/// into the advisor as hard SLA violations, and session state is
-/// periodically checkpointed when a checkpoint path is configured.
-class TuningSession {
- public:
-  TuningSession(DbInstanceSimulator* simulator, Advisor* advisor,
-                SessionOptions options = {});
-
-  Result<SessionResult> Run();
-
-  /// Continues an interrupted session from `fault.checkpoint_path`. The
-  /// advisor (which must be freshly constructed with the original seeds and
-  /// options) is rebuilt by replaying the checkpoint's event log — each
-  /// replayed suggestion is verified bitwise against the recorded θ, so a
-  /// divergent advisor configuration fails loudly instead of silently
-  /// continuing a different run. The simulator's and supervisor's RNG
-  /// streams are restored, making the continuation byte-identical to the
-  /// uninterrupted run.
-  Result<SessionResult> Resume();
-
- private:
-  Result<SessionResult> RunInternal(const SessionCheckpoint* resume_from);
-  Status WriteCheckpoint(const SessionResult& result,
-                         const std::vector<SessionEvent>& events,
-                         const EvaluationSupervisor& supervisor, int iteration);
-
-  DbInstanceSimulator* simulator_;
-  Advisor* advisor_;
-  SessionOptions options_;
 };
 
 }  // namespace restune

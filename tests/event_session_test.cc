@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -11,11 +13,16 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "tuner/cbo_advisor.h"
+#include "tuner/cdbtune_advisor.h"
 #include "tuner/checkpoint.h"
 #include "tuner/event_session.h"
+#include "tuner/grid_advisor.h"
 #include "tuner/harness.h"
+#include "tuner/ottertune_advisor.h"
+#include "tuner/restune_advisor.h"
 #include "tuner/safety.h"
 #include "tuner/session.h"
+#include "tuner/supervisor.h"
 
 namespace restune {
 namespace {
@@ -655,6 +662,71 @@ TEST_F(EventSessionTest, KillAndResumeMidFlightReplaysByteIdentical) {
   std::remove((halted_path + ".tmp").c_str());
 }
 
+/// Halts a fault-free CBO session with 3 evaluations in flight after 10
+/// completions and returns its checkpoint, for the log-consistency cases.
+EventSessionCheckpoint HaltedCheckpoint(const std::string& path) {
+  EventSessionOptions options;
+  options.max_iterations = 20;
+  options.max_in_flight = 3;
+  options.fault.checkpoint_path = path;
+  options.fault.checkpoint_period = 5;
+  options.halt_after_completions = 10;
+  DbInstanceSimulator sim = CaseStudySimulator(79);
+  CboAdvisor advisor("cbo", 3, FastAdvisorOptions());
+  EventTuningSession session(&sim, &advisor, options);
+  EXPECT_TRUE(session.Run().ok());
+  EXPECT_TRUE(session.halted());
+  return LoadEventSessionCheckpointFile(path).value();
+}
+
+/// Resumes the halted session from an edited checkpoint.
+Status ResumeFromEdited(const std::string& path,
+                        const EventSessionCheckpoint& edited) {
+  EXPECT_TRUE(SaveEventSessionCheckpointFile(edited, path).ok());
+  EventSessionOptions options;
+  options.max_iterations = 20;
+  options.max_in_flight = 3;
+  options.fault.checkpoint_path = path;
+  DbInstanceSimulator sim = CaseStudySimulator(79);
+  CboAdvisor advisor("cbo", 3, FastAdvisorOptions());
+  return EventTuningSession(&sim, &advisor, options).Resume().status();
+}
+
+TEST(EventCheckpointTest, ResumeRejectsLaunchCountThatDisagreesWithLog) {
+  const std::string path = testing::TempDir() + "/event_launched.ckpt";
+  EventSessionCheckpoint checkpoint = HaltedCheckpoint(path);
+  ASSERT_EQ(checkpoint.launched, 12u);
+  ASSERT_EQ(checkpoint.in_flight.size(), 2u);
+  // A header claiming one launch fewer would make the resumed run issue
+  // seq 11 a second time.
+  checkpoint.launched = 11;
+  EXPECT_EQ(ResumeFromEdited(path, checkpoint).code(),
+            StatusCode::kFailedPrecondition);
+  std::remove(path.c_str());
+}
+
+TEST(EventCheckpointTest, ResumeRejectsDuplicateLaunchSeq) {
+  const std::string path = testing::TempDir() + "/event_duplicate.ckpt";
+  EventSessionCheckpoint checkpoint = HaltedCheckpoint(path);
+  ASSERT_EQ(checkpoint.in_flight.size(), 2u);
+  // Renumber the last launch (still in flight) to the seq of the one
+  // before it and drop its pending outcome: a log where one launch id was
+  // issued twice and one evaluation silently vanished.
+  const uint64_t last = checkpoint.launched - 1;
+  auto launch = std::find_if(
+      checkpoint.records.begin(), checkpoint.records.end(),
+      [last](const EventRecord& r) {
+        return r.kind == EventKind::kLaunch && r.seq == last;
+      });
+  ASSERT_NE(launch, checkpoint.records.end());
+  launch->seq = last - 1;
+  ASSERT_EQ(checkpoint.in_flight.back().seq, last);
+  checkpoint.in_flight.pop_back();
+  EXPECT_EQ(ResumeFromEdited(path, checkpoint).code(),
+            StatusCode::kFailedPrecondition);
+  std::remove(path.c_str());
+}
+
 TEST_F(EventSessionTest, ResumeWithDivergentAdvisorSeedFailsLoudly) {
   const std::string path = testing::TempDir() + "/event_diverge.ckpt";
   EventSessionOptions options;
@@ -685,6 +757,207 @@ TEST_F(EventSessionTest, ResumeWithoutPathOrFileFails) {
   EXPECT_EQ(
       EventTuningSession(&sim, &advisor, options).Resume().status().code(),
       StatusCode::kNotFound);
+}
+
+// ------------------------------------------------- sequential equivalence
+
+/// The paper's sequential tuning loop (Section 4) written out directly:
+/// evaluate the default to fix the SLA, then suggest → supervised replay →
+/// observe until the budget is spent or the advisor runs out. The event
+/// session under SequentialSessionOptions() must reproduce it bit for bit.
+Result<SessionResult> ReferenceSequentialLoop(
+    DbInstanceSimulator* sim, Advisor* advisor,
+    const EventSessionOptions& options) {
+  EvaluationSupervisor supervisor(sim, options.fault.retry,
+                                  options.fault.supervisor_seed);
+  RESTUNE_ASSIGN_OR_RETURN(
+      const SupervisedEvaluation bootstrap,
+      supervisor.Evaluate(sim->knob_space().DefaultTheta(),
+                          /*retry_any_fault=*/true));
+  if (!bootstrap.outcome.ok()) return Status::Aborted("bootstrap failed");
+  SessionResult result;
+  result.default_observation = bootstrap.outcome.observation();
+  result.sla =
+      DbInstanceSimulator::ConstraintsFromDefault(result.default_observation);
+  result.best_feasible_res = result.default_observation.res;
+  result.best_theta = result.default_observation.theta;
+  RESTUNE_RETURN_IF_ERROR(
+      advisor->Begin(result.default_observation, result.sla));
+  for (int iteration = 1; iteration <= options.max_iterations; ++iteration) {
+    Result<Vector> theta = advisor->SuggestNext();
+    if (theta.status().code() == StatusCode::kOutOfRange) break;
+    RESTUNE_RETURN_IF_ERROR(theta.status());
+    RESTUNE_ASSIGN_OR_RETURN(const SupervisedEvaluation eval,
+                             supervisor.Evaluate(*theta));
+    IterationRecord rec;
+    rec.iteration = iteration;
+    rec.attempts = eval.attempts;
+    rec.backoff_seconds = eval.backoff_seconds;
+    rec.replay_seconds = sim->options().replay_seconds;
+    if (eval.outcome.ok()) {
+      rec.observation = eval.outcome.observation();
+      RESTUNE_RETURN_IF_ERROR(advisor->Observe(rec.observation));
+      rec.feasible = result.sla.IsFeasible(rec.observation,
+                                           options.sla_tolerance);
+      if (rec.feasible && rec.observation.res < result.best_feasible_res) {
+        result.best_feasible_res = rec.observation.res;
+        result.best_theta = rec.observation.theta;
+        result.best_iteration = iteration;
+      }
+    } else {
+      rec.observation.theta = *theta;
+      rec.failed = true;
+      rec.fault = eval.outcome.fault().kind;
+      ++result.failed_iterations;
+      RESTUNE_RETURN_IF_ERROR(
+          advisor->ObserveFailure(*theta, eval.outcome.fault()));
+    }
+    rec.best_feasible_res = result.best_feasible_res;
+    result.total_retries += eval.attempts - 1;
+    result.history.push_back(rec);
+  }
+  return result;
+}
+
+void ExpectSameObservation(const Observation& a, const Observation& b) {
+  EXPECT_EQ(a.theta, b.theta);
+  EXPECT_EQ(a.res, b.res);
+  EXPECT_EQ(a.tps, b.tps);
+  EXPECT_EQ(a.lat, b.lat);
+  EXPECT_EQ(a.internals, b.internals);
+}
+
+void ExpectSameResult(const SessionResult& a, const SessionResult& b) {
+  ExpectSameObservation(a.default_observation, b.default_observation);
+  EXPECT_EQ(a.sla.min_tps, b.sla.min_tps);
+  EXPECT_EQ(a.sla.max_lat, b.sla.max_lat);
+  EXPECT_EQ(a.best_feasible_res, b.best_feasible_res);
+  EXPECT_EQ(a.best_theta, b.best_theta);
+  EXPECT_EQ(a.best_iteration, b.best_iteration);
+  EXPECT_EQ(a.failed_iterations, b.failed_iterations);
+  EXPECT_EQ(a.total_retries, b.total_retries);
+  EXPECT_EQ(a.resumed, b.resumed);
+  ASSERT_EQ(a.history.size(), b.history.size());
+  for (size_t i = 0; i < a.history.size(); ++i) {
+    SCOPED_TRACE("history entry " + std::to_string(i));
+    const IterationRecord& ra = a.history[i];
+    const IterationRecord& rb = b.history[i];
+    EXPECT_EQ(ra.iteration, rb.iteration);
+    ExpectSameObservation(ra.observation, rb.observation);
+    EXPECT_EQ(ra.feasible, rb.feasible);
+    EXPECT_EQ(ra.best_feasible_res, rb.best_feasible_res);
+    EXPECT_EQ(ra.replay_seconds, rb.replay_seconds);
+    EXPECT_EQ(ra.failed, rb.failed);
+    EXPECT_EQ(ra.fault, rb.fault);
+    EXPECT_EQ(ra.attempts, rb.attempts);
+    EXPECT_EQ(ra.backoff_seconds, rb.backoff_seconds);
+  }
+}
+
+/// Two small repository tasks with internal metrics for OtterTune's
+/// workload mapping.
+std::vector<TuningTask> TinyRepository() {
+  std::vector<TuningTask> tasks(2);
+  Rng rng(5);
+  for (int t = 0; t < 2; ++t) {
+    DbInstanceSimulator sim = CaseStudySimulator(90 + t);
+    tasks[t].name = "task-" + std::to_string(t);
+    for (int i = 0; i < 8; ++i) {
+      const Vector theta = {rng.Uniform(), rng.Uniform(), rng.Uniform()};
+      tasks[t].observations.push_back(sim.Evaluate(theta).value());
+    }
+  }
+  return tasks;
+}
+
+struct AdvisorCase {
+  const char* name;
+  std::function<std::unique_ptr<Advisor>()> make;
+};
+
+std::vector<AdvisorCase> SequentialAdvisorCases() {
+  const Vector default_theta = CaseStudyKnobSpace().DefaultTheta();
+  const std::vector<TuningTask> repository = TinyRepository();
+  return {
+      {"CBO",
+       [] {
+         return std::make_unique<CboAdvisor>("cbo", 3, FastAdvisorOptions());
+       }},
+      {"ResTune-w/o-Workload",
+       [default_theta] {
+         ResTuneAdvisorOptions options;
+         options.workload_characterization_init = false;
+         return std::make_unique<ResTuneAdvisor>(
+             3, default_theta, std::vector<BaseLearner>{}, Vector{}, options);
+       }},
+      {"iTuned",
+       [] {
+         CboAdvisorOptions options = FastAdvisorOptions();
+         options.acquisition = CboAcquisition::kUnconstrainedEi;
+         return std::make_unique<CboAdvisor>("iTuned", 3, options);
+       }},
+      {"OtterTune",
+       [repository] {
+         OtterTuneAdvisorOptions options;
+         options.initial_lhs_samples = 4;
+         return std::make_unique<OtterTuneAdvisor>(3, repository, options);
+       }},
+      {"CDBTune", [] { return std::make_unique<CdbTuneAdvisor>(3); }},
+      // 8 grid points: exhausts before the budget, ending the session early.
+      {"GridSearch", [] { return std::make_unique<GridSearchAdvisor>(3, 2); }},
+  };
+}
+
+/// Runs every advisor case both ways and compares. `seen` collects the
+/// fault kinds of failed iterations, so a fault case can prove faults fired.
+void ExpectSequentialEquivalence(const FaultInjectionOptions& faults,
+                                 int iterations,
+                                 std::multiset<FaultKind>* seen) {
+  EventSessionOptions options = SequentialSessionOptions();
+  options.max_iterations = iterations;
+  options.sla_tolerance = 0.05;
+  for (const AdvisorCase& c : SequentialAdvisorCases()) {
+    SCOPED_TRACE(c.name);
+    DbInstanceSimulator ref_sim = CaseStudySimulator(83, faults);
+    const std::unique_ptr<Advisor> ref_advisor = c.make();
+    const auto reference =
+        ReferenceSequentialLoop(&ref_sim, ref_advisor.get(), options);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+    DbInstanceSimulator sim = CaseStudySimulator(83, faults);
+    const std::unique_ptr<Advisor> advisor = c.make();
+    EventTuningSession session(&sim, advisor.get(), options);
+    const auto result = session.Run();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(session.safety().transitions(), 0);
+    ExpectSameResult(*reference, *result);
+    for (const IterationRecord& rec : result->history) {
+      if (rec.failed) seen->insert(rec.fault);
+    }
+  }
+}
+
+TEST_F(EventSessionTest, SequentialOptionsReproduceTheSequentialLoop) {
+  std::multiset<FaultKind> seen;
+  ExpectSequentialEquivalence(FaultInjectionOptions{}, 14, &seen);
+  EXPECT_TRUE(seen.empty());
+}
+
+TEST_F(EventSessionTest, SequentialOptionsReproduceTheLoopUnderFaults) {
+  // 20% of attempts fault, stalls included: the watchdog must cut a stall
+  // into exactly the failure the sequential loop records.
+  FaultInjectionOptions faults;
+  faults.enabled = true;
+  faults.seed = 17;
+  faults.crash_prob = 0.04;
+  faults.timeout_prob = 0.04;
+  faults.transient_prob = 0.06;
+  faults.corrupt_prob = 0.03;
+  faults.stall_prob = 0.03;
+  std::multiset<FaultKind> seen;
+  ExpectSequentialEquivalence(faults, 20, &seen);
+  EXPECT_GT(seen.count(FaultKind::kStall), 0u);
+  EXPECT_GT(seen.count(FaultKind::kCrash), 0u);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -15,10 +14,9 @@
 #include "service/restune_client.h"
 #include "service/restune_server.h"
 #include "tuner/cbo_advisor.h"
-#include "tuner/checkpoint.h"
 #include "tuner/harness.h"
 #include "tuner/quarantine.h"
-#include "tuner/session.h"
+#include "tuner/event_session.h"
 #include "tuner/supervisor.h"
 
 namespace restune {
@@ -436,9 +434,9 @@ TEST(SessionFaultTest, SessionSurvivesTwentyPercentFaults) {
   CboAdvisorOptions options;
   options.initial_lhs_samples = 5;
   CboAdvisor advisor("cbo", 3, options);
-  SessionOptions session_options;
+  EventSessionOptions session_options = SequentialSessionOptions();
   session_options.max_iterations = 30;
-  TuningSession session(&sim, &advisor, session_options);
+  EventTuningSession session(&sim, &advisor, session_options);
   const auto result = session.Run();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->history.size(), 30u);
@@ -453,207 +451,16 @@ TEST(SessionFaultTest, SessionSurvivesTwentyPercentFaults) {
   }
 }
 
-TEST(SessionFaultTest, PersistentOomTripsInfeasibilitySafeguard) {
-  // An advisor stuck on the OOM corner of the pool space: every evaluation
-  // crashes deterministically, each failed iteration counts as infeasible,
-  // and the safety rail aborts the session.
-  class OomAdvisor : public Advisor {
-   public:
-    const std::string& name() const override { return name_; }
-    Status Begin(const Observation&, const SlaConstraints&) override {
-      return Status::OK();
-    }
-    Result<Vector> SuggestNext() override { return Vector{1.0}; }
-    Status Observe(const Observation&) override { return Status::OK(); }
-
-   private:
-    std::string name_ = "oom";
-  };
-  DbInstanceSimulator sim = PoolSimulator(53);
-  OomAdvisor advisor;
-  SessionOptions options;
-  options.max_iterations = 50;
-  options.max_consecutive_infeasible = 3;
-  TuningSession session(&sim, &advisor, options);
-  const auto result = session.Run();
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(result->aborted_by_safeguard);
-  ASSERT_EQ(result->history.size(), 3u);
-  for (const IterationRecord& rec : result->history) {
-    EXPECT_TRUE(rec.failed);
-    EXPECT_EQ(rec.fault, FaultKind::kCrash);
-    EXPECT_EQ(rec.attempts, 1);  // crashes are never retried
-  }
-  EXPECT_EQ(result->best_iteration, 0);  // fell back to the default config
-}
-
 TEST(SessionFaultTest, UnrecoverableBootstrapAborts) {
   FaultInjectionOptions faults;
   faults.enabled = true;
   faults.crash_prob = 1.0;
   DbInstanceSimulator sim = CaseStudySimulator(59, faults);
   CboAdvisor advisor("cbo", 3);
-  TuningSession session(&sim, &advisor);
+  EventTuningSession session(&sim, &advisor, SequentialSessionOptions());
   const auto result = session.Run();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kAborted);
-}
-
-// --------------------------------------------------------- checkpoint files
-
-TEST(CheckpointTest, RoundTripsThroughStream) {
-  SessionCheckpoint checkpoint;
-  checkpoint.iteration = 12;
-  checkpoint.default_observation.theta = {0.25, 0.75};
-  checkpoint.default_observation.res = 1.0 / 3.0;
-  checkpoint.default_observation.tps = 1234.5;
-  checkpoint.default_observation.lat = 0.01;
-  checkpoint.sla = SlaConstraints{1000.0, 0.02};
-  checkpoint.simulator_state.num_evaluations = 13;
-  checkpoint.simulator_state.simulated_seconds = 2340.0;
-  Rng scramble(77);
-  for (int i = 0; i < 9; ++i) scramble.Uniform();
-  checkpoint.simulator_state.rng = scramble.state();
-
-  SessionEvent ok_event;
-  ok_event.iteration = 11;
-  ok_event.theta = {0.1, 0.9};
-  ok_event.observation = checkpoint.default_observation;
-  ok_event.attempts = 2;
-  ok_event.backoff_seconds = 15.0;
-  SessionEvent failed_event;
-  failed_event.iteration = 12;
-  failed_event.failed = true;
-  failed_event.fault = FaultKind::kTimeout;
-  failed_event.theta = {1.0 / 7.0, 2.0 / 7.0};
-  checkpoint.events = {ok_event, failed_event};
-
-  std::stringstream stream;
-  ASSERT_TRUE(SaveSessionCheckpoint(checkpoint, &stream).ok());
-  const auto loaded = LoadSessionCheckpoint(&stream);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->iteration, 12);
-  EXPECT_EQ(loaded->default_observation.res, checkpoint.default_observation.res);
-  EXPECT_EQ(loaded->sla.min_tps, 1000.0);
-  EXPECT_EQ(loaded->simulator_state.num_evaluations, 13u);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(loaded->simulator_state.rng.s[i],
-              checkpoint.simulator_state.rng.s[i]);
-  }
-  ASSERT_EQ(loaded->events.size(), 2u);
-  EXPECT_EQ(loaded->events[0].theta, ok_event.theta);
-  EXPECT_EQ(loaded->events[0].attempts, 2);
-  EXPECT_EQ(loaded->events[0].backoff_seconds, 15.0);
-  EXPECT_TRUE(loaded->events[1].failed);
-  EXPECT_EQ(loaded->events[1].fault, FaultKind::kTimeout);
-  EXPECT_EQ(loaded->events[1].theta, failed_event.theta);
-}
-
-TEST(CheckpointTest, RejectsCorruptStreams) {
-  std::stringstream wrong_magic("not-a-checkpoint 1\n");
-  EXPECT_FALSE(LoadSessionCheckpoint(&wrong_magic).ok());
-  std::stringstream wrong_version("restune-checkpoint 9\n");
-  EXPECT_FALSE(LoadSessionCheckpoint(&wrong_version).ok());
-  std::stringstream truncated("restune-checkpoint 1\niteration 3\n");
-  EXPECT_FALSE(LoadSessionCheckpoint(&truncated).ok());
-}
-
-CboAdvisorOptions ResumeAdvisorOptions(uint64_t seed = 61) {
-  CboAdvisorOptions options;
-  options.initial_lhs_samples = 4;
-  options.seed = seed;
-  return options;
-}
-
-TEST(SessionResumeTest, ResumedRunMatchesUninterruptedRunExactly) {
-  const std::string path = testing::TempDir() + "/fault_resume.ckpt";
-  const FaultInjectionOptions faults = TwentyPercentFaults(99);
-
-  // Control: one uninterrupted 20-iteration run.
-  SessionOptions full_options;
-  full_options.max_iterations = 20;
-  DbInstanceSimulator control_sim = CaseStudySimulator(67, faults);
-  CboAdvisor control_advisor("cbo", 3, ResumeAdvisorOptions());
-  const auto control =
-      TuningSession(&control_sim, &control_advisor, full_options).Run();
-  ASSERT_TRUE(control.ok()) << control.status().ToString();
-  ASSERT_EQ(control->history.size(), 20u);
-
-  // Interrupted: run 10 iterations with checkpointing, "kill" the process
-  // (drop the session), then resume with freshly constructed objects.
-  SessionOptions half_options = full_options;
-  half_options.max_iterations = 10;
-  half_options.fault.checkpoint_path = path;
-  half_options.fault.checkpoint_period = 4;
-  {
-    DbInstanceSimulator sim = CaseStudySimulator(67, faults);
-    CboAdvisor advisor("cbo", 3, ResumeAdvisorOptions());
-    const auto first_half =
-        TuningSession(&sim, &advisor, half_options).Run();
-    ASSERT_TRUE(first_half.ok()) << first_half.status().ToString();
-  }
-  SessionOptions resume_options = full_options;
-  resume_options.fault.checkpoint_path = path;
-  DbInstanceSimulator resumed_sim = CaseStudySimulator(67, faults);
-  CboAdvisor resumed_advisor("cbo", 3, ResumeAdvisorOptions());
-  const auto resumed =
-      TuningSession(&resumed_sim, &resumed_advisor, resume_options).Resume();
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_TRUE(resumed->resumed);
-  ASSERT_EQ(resumed->history.size(), 20u);
-
-  // Byte-identical trace: every iteration (replayed and live) matches the
-  // uninterrupted run bitwise.
-  for (size_t i = 0; i < 20; ++i) {
-    const IterationRecord& a = control->history[i];
-    const IterationRecord& b = resumed->history[i];
-    ASSERT_EQ(a.observation.theta.size(), b.observation.theta.size());
-    for (size_t c = 0; c < a.observation.theta.size(); ++c) {
-      EXPECT_EQ(a.observation.theta[c], b.observation.theta[c])
-          << "iteration " << a.iteration;
-    }
-    EXPECT_EQ(a.observation.res, b.observation.res);
-    EXPECT_EQ(a.observation.tps, b.observation.tps);
-    EXPECT_EQ(a.observation.lat, b.observation.lat);
-    EXPECT_EQ(a.failed, b.failed);
-    EXPECT_EQ(a.fault, b.fault);
-    EXPECT_EQ(a.attempts, b.attempts);
-    EXPECT_EQ(a.backoff_seconds, b.backoff_seconds);
-    EXPECT_EQ(a.best_feasible_res, b.best_feasible_res);
-  }
-  EXPECT_EQ(control->best_feasible_res, resumed->best_feasible_res);
-  EXPECT_EQ(control->failed_iterations, resumed->failed_iterations);
-  std::remove(path.c_str());
-  std::remove((path + ".tmp").c_str());
-}
-
-TEST(SessionResumeTest, DivergentAdvisorSeedFailsLoudly) {
-  const std::string path = testing::TempDir() + "/fault_diverge.ckpt";
-  SessionOptions options;
-  options.max_iterations = 6;
-  options.fault.checkpoint_path = path;
-  {
-    DbInstanceSimulator sim = CaseStudySimulator(71);
-    CboAdvisor advisor("cbo", 3, ResumeAdvisorOptions(61));
-    ASSERT_TRUE(TuningSession(&sim, &advisor, options).Run().ok());
-  }
-  DbInstanceSimulator sim = CaseStudySimulator(71);
-  CboAdvisor other("cbo", 3, ResumeAdvisorOptions(62));  // different seed
-  const auto resumed = TuningSession(&sim, &other, options).Resume();
-  ASSERT_FALSE(resumed.ok());
-  EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition);
-  std::remove(path.c_str());
-}
-
-TEST(SessionResumeTest, ResumeWithoutPathOrFileFails) {
-  DbInstanceSimulator sim = CaseStudySimulator(73);
-  CboAdvisor advisor("cbo", 3);
-  SessionOptions options;
-  EXPECT_EQ(TuningSession(&sim, &advisor, options).Resume().status().code(),
-            StatusCode::kFailedPrecondition);
-  options.fault.checkpoint_path = testing::TempDir() + "/no_such.ckpt";
-  EXPECT_EQ(TuningSession(&sim, &advisor, options).Resume().status().code(),
-            StatusCode::kNotFound);
 }
 
 // ------------------------------------------------------- harness plumbing

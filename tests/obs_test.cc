@@ -16,7 +16,7 @@
 #include "obs/trace.h"
 #include "tuner/checkpoint.h"
 #include "tuner/restune_advisor.h"
-#include "tuner/session.h"
+#include "tuner/event_session.h"
 
 namespace restune {
 namespace {
@@ -168,6 +168,10 @@ void ValidateTraceFile(const std::string& path, int* num_spans,
       ++*num_counters;
       EXPECT_NE(line.find("\"name\":\""), std::string::npos) << line;
       EXPECT_NE(line.find("\"value\":"), std::string::npos) << line;
+    } else if (line.find("\"type\":\"event\"") != std::string::npos) {
+      // Session lifecycle lines (launch / complete / mode_transition /
+      // checkpoint); free-form beyond the event tag.
+      EXPECT_NE(line.find("\"event\":\""), std::string::npos) << line;
     } else if (line.find("\"type\":\"trace_end\"") != std::string::npos) {
       saw_end = true;
     } else if (line.find("\"type\":\"gauge\"") == std::string::npos) {
@@ -194,8 +198,8 @@ ResTuneAdvisor ObsAdvisor() {
                         options);
 }
 
-SessionOptions ObsOptions(int iterations) {
-  SessionOptions options;
+EventSessionOptions ObsOptions(int iterations) {
+  EventSessionOptions options = SequentialSessionOptions();
   options.max_iterations = iterations;
   options.sla_tolerance = 0.05;
   return options;
@@ -208,7 +212,7 @@ TEST_F(ObsTest, SessionWithTracingEmitsPerIterationSpans) {
     DbInstanceSimulator sim = ObsSimulator();
     ResTuneAdvisor advisor = ObsAdvisor();
     const auto result =
-        TuningSession(&sim, &advisor, ObsOptions(12)).Run();
+        EventTuningSession(&sim, &advisor, ObsOptions(12)).Run();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ASSERT_EQ(result->history.size(), 12u);
   }
@@ -233,7 +237,7 @@ TEST_F(ObsTest, SessionWithTracingEmitsPerIterationSpans) {
     return n;
   };
   EXPECT_EQ(count_of("session.iteration"), 12);
-  EXPECT_EQ(count_of("session.suggest"), 12);
+  EXPECT_EQ(count_of("session.launch"), 12);
   EXPECT_EQ(count_of("eval.supervised"), 13);  // + the default bootstrap
   EXPECT_GT(count_of("gp.fit"), 0);
   EXPECT_GT(count_of("meta.weights"), 0);
@@ -253,13 +257,12 @@ TEST_F(ObsTest, TraceSpanIsNoopWhenTracerDisabled) {
 }
 
 TEST_F(ObsTest, CheckpointRoundTripsCounterSnapshot) {
-  SessionCheckpoint checkpoint;
-  checkpoint.iteration = 0;
+  EventSessionCheckpoint checkpoint;
   checkpoint.metrics = {{"restune_gp_fits_total", 17},
                         {"restune_eval_faults_total{kind=\"crash\"}", 2}};
   std::stringstream stream;
-  ASSERT_TRUE(SaveSessionCheckpoint(checkpoint, &stream).ok());
-  const auto loaded = LoadSessionCheckpoint(&stream);
+  ASSERT_TRUE(SaveEventSessionCheckpoint(checkpoint, &stream).ok());
+  const auto loaded = LoadEventSessionCheckpoint(&stream);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded->metrics.size(), 2u);
   EXPECT_EQ(loaded->metrics[0].first, "restune_gp_fits_total");
@@ -270,11 +273,10 @@ TEST_F(ObsTest, CheckpointRoundTripsCounterSnapshot) {
 }
 
 TEST_F(ObsTest, CheckpointWithoutMetricsSectionStillLoads) {
-  SessionCheckpoint checkpoint;
-  checkpoint.iteration = 0;
+  EventSessionCheckpoint checkpoint;
   std::stringstream stream;
-  ASSERT_TRUE(SaveSessionCheckpoint(checkpoint, &stream).ok());
-  const auto loaded = LoadSessionCheckpoint(&stream);
+  ASSERT_TRUE(SaveEventSessionCheckpoint(checkpoint, &stream).ok());
+  const auto loaded = LoadEventSessionCheckpoint(&stream);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(loaded->metrics.empty());
 }
@@ -289,31 +291,32 @@ TEST_F(ObsTest, ResumeRestoresCountersToUninterruptedTotals) {
     DbInstanceSimulator sim = ObsSimulator();
     ResTuneAdvisor advisor = ObsAdvisor();
     const auto control =
-        TuningSession(&sim, &advisor, ObsOptions(20)).Run();
+        EventTuningSession(&sim, &advisor, ObsOptions(20)).Run();
     ASSERT_TRUE(control.ok()) << control.status().ToString();
     control_fits = registry->GetCounter("restune_gp_fits_total")->Value();
     ASSERT_GT(control_fits, 0);
   }
 
-  // Interrupted: 10 iterations with checkpointing, then a fresh process
-  // state (counters reset) resumes to 20.
+  // Interrupted: killed after 10 iterations with checkpointing, then a
+  // fresh process state (counters reset) resumes to 20.
   registry->ResetForTest();
-  SessionOptions half = ObsOptions(10);
+  EventSessionOptions half = ObsOptions(20);
   half.fault.checkpoint_path = path;
   half.fault.checkpoint_period = 5;
+  half.halt_after_completions = 10;
   {
     DbInstanceSimulator sim = ObsSimulator();
     ResTuneAdvisor advisor = ObsAdvisor();
-    const auto first = TuningSession(&sim, &advisor, half).Run();
+    const auto first = EventTuningSession(&sim, &advisor, half).Run();
     ASSERT_TRUE(first.ok()) << first.status().ToString();
   }
   registry->ResetForTest();  // "process restart"
-  SessionOptions rest = ObsOptions(20);
+  EventSessionOptions rest = ObsOptions(20);
   rest.fault.checkpoint_path = path;
   {
     DbInstanceSimulator sim = ObsSimulator();
     ResTuneAdvisor advisor = ObsAdvisor();
-    const auto resumed = TuningSession(&sim, &advisor, rest).Resume();
+    const auto resumed = EventTuningSession(&sim, &advisor, rest).Resume();
     ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
     ASSERT_TRUE(resumed->resumed);
   }

@@ -20,7 +20,7 @@
 #include "common/thread_pool.h"
 #include "obs/trace.h"
 #include "tuner/restune_advisor.h"
-#include "tuner/session.h"
+#include "tuner/event_session.h"
 
 namespace restune {
 namespace {
@@ -57,8 +57,8 @@ ResTuneAdvisor SoakAdvisor(ThreadPool* pool = nullptr) {
                         options);
 }
 
-SessionOptions SoakOptions(int iterations) {
-  SessionOptions options;
+EventSessionOptions SoakOptions(int iterations) {
+  EventSessionOptions options = SequentialSessionOptions();
   options.max_iterations = iterations;
   options.sla_tolerance = 0.05;
   return options;
@@ -166,7 +166,7 @@ TEST_F(SoakTest, TwentyPercentFaultsStayWithinTenPercentOfFaultFreeBest) {
   DbInstanceSimulator clean_sim = SoakSimulator();
   ResTuneAdvisor clean_advisor = SoakAdvisor();
   const auto clean =
-      TuningSession(&clean_sim, &clean_advisor, SoakOptions(200)).Run();
+      EventTuningSession(&clean_sim, &clean_advisor, SoakOptions(200)).Run();
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
   ASSERT_EQ(clean->history.size(), 200u);
   ASSERT_EQ(clean->failed_iterations, 0);
@@ -178,7 +178,7 @@ TEST_F(SoakTest, TwentyPercentFaultsStayWithinTenPercentOfFaultFreeBest) {
   DbInstanceSimulator faulty_sim = SoakSimulator(SoakFaults());
   ResTuneAdvisor faulty_advisor = SoakAdvisor();
   const auto faulty =
-      TuningSession(&faulty_sim, &faulty_advisor, SoakOptions(200)).Run();
+      EventTuningSession(&faulty_sim, &faulty_advisor, SoakOptions(200)).Run();
   obs::Tracer::Global()->Stop();
   ASSERT_TRUE(faulty.ok()) << faulty.status().ToString();
 
@@ -219,30 +219,32 @@ TEST_F(SoakTest, KilledAtIterationHundredResumesByteIdentically) {
   // Control: one uninterrupted 200-iteration run under faults.
   DbInstanceSimulator control_sim = SoakSimulator(faults);
   ResTuneAdvisor control_advisor = SoakAdvisor();
-  const auto control =
-      TuningSession(&control_sim, &control_advisor, SoakOptions(200)).Run();
+  const auto control = EventTuningSession(&control_sim, &control_advisor,
+                                          SoakOptions(200))
+                           .Run();
   ASSERT_TRUE(control.ok()) << control.status().ToString();
 
-  // "Kill" at iteration 100: run half the session with checkpointing and
+  // "Kill" at iteration 100: halt the session there with checkpointing and
   // throw the process state away.
-  SessionOptions half = SoakOptions(100);
+  EventSessionOptions half = SoakOptions(200);
   half.fault.checkpoint_path = path;
   half.fault.checkpoint_period = 25;
+  half.halt_after_completions = 100;
   {
     DbInstanceSimulator sim = SoakSimulator(faults);
     ResTuneAdvisor advisor = SoakAdvisor();
-    const auto first_half = TuningSession(&sim, &advisor, half).Run();
+    const auto first_half = EventTuningSession(&sim, &advisor, half).Run();
     ASSERT_TRUE(first_half.ok()) << first_half.status().ToString();
     ASSERT_EQ(first_half->history.size(), 100u);
   }
 
   // Resume with freshly constructed simulator and advisor.
-  SessionOptions rest = SoakOptions(200);
+  EventSessionOptions rest = SoakOptions(200);
   rest.fault.checkpoint_path = path;
   DbInstanceSimulator resumed_sim = SoakSimulator(faults);
   ResTuneAdvisor resumed_advisor = SoakAdvisor();
   const auto resumed =
-      TuningSession(&resumed_sim, &resumed_advisor, rest).Resume();
+      EventTuningSession(&resumed_sim, &resumed_advisor, rest).Resume();
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_TRUE(resumed->resumed);
   ExpectIdenticalTraces(*control, *resumed);
@@ -255,14 +257,14 @@ TEST_F(SoakTest, AcquisitionThreadPoolSizeDoesNotChangeTheTrace) {
   DbInstanceSimulator serial_sim = SoakSimulator(SoakFaults());
   ResTuneAdvisor serial_advisor = SoakAdvisor(&serial);
   const auto serial_run =
-      TuningSession(&serial_sim, &serial_advisor, SoakOptions(60)).Run();
+      EventTuningSession(&serial_sim, &serial_advisor, SoakOptions(60)).Run();
   ASSERT_TRUE(serial_run.ok()) << serial_run.status().ToString();
 
   ThreadPool wide(8);
   DbInstanceSimulator wide_sim = SoakSimulator(SoakFaults());
   ResTuneAdvisor wide_advisor = SoakAdvisor(&wide);
   const auto wide_run =
-      TuningSession(&wide_sim, &wide_advisor, SoakOptions(60)).Run();
+      EventTuningSession(&wide_sim, &wide_advisor, SoakOptions(60)).Run();
   ASSERT_TRUE(wide_run.ok()) << wide_run.status().ToString();
   ExpectIdenticalTraces(*serial_run, *wide_run);
 }

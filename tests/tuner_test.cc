@@ -11,7 +11,7 @@
 #include "tuner/harness.h"
 #include "tuner/ottertune_advisor.h"
 #include "tuner/restune_advisor.h"
-#include "tuner/session.h"
+#include "tuner/event_session.h"
 
 namespace restune {
 namespace {
@@ -91,9 +91,9 @@ TEST(TuningSessionTest, TracksBestFeasible) {
   CboAdvisorOptions options;
   options.initial_lhs_samples = 5;
   CboAdvisor advisor("cbo", 3, options);
-  SessionOptions session_options;
+  EventSessionOptions session_options = SequentialSessionOptions();
   session_options.max_iterations = 20;
-  TuningSession session(&sim, &advisor, session_options);
+  EventTuningSession session(&sim, &advisor, session_options);
   const auto result = session.Run();
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->history.size(), 20u);
@@ -108,12 +108,12 @@ TEST(TuningSessionTest, TracksBestFeasible) {
   EXPECT_GE(best.tps, result->sla.min_tps * 0.93);
 }
 
-TEST(TuningSessionTest, ConvergenceStopsEarly) {
+TEST(TuningSessionTest, StopsWhenAdvisorIsExhausted) {
   DbInstanceSimulator sim = CaseStudySimulator();
   GridSearchAdvisor advisor(3, 2);  // 8 points, then OutOfRange
-  SessionOptions options;
+  EventSessionOptions options = SequentialSessionOptions();
   options.max_iterations = 100;
-  TuningSession session(&sim, &advisor, options);
+  EventTuningSession session(&sim, &advisor, options);
   const auto result = session.Run();
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->history.size(), 8u);  // stopped at grid exhaustion
@@ -132,44 +132,12 @@ TEST(TuningSessionTest, IterationsToBestWithinTolerance) {
   EXPECT_EQ(result.IterationsToBest(0.5), 4);  // 14 <= 10*1.5
 }
 
-
-TEST(TuningSessionTest, SafeguardAbortsOnPersistentInfeasibility) {
-  // An adversarial advisor that always suggests thread_concurrency = 1
-  // (infeasible for the rate-bound Twitter workload).
-  class BadAdvisor : public Advisor {
-   public:
-    const std::string& name() const override { return name_; }
-    Status Begin(const Observation&, const SlaConstraints&) override {
-      return Status::OK();
-    }
-    Result<Vector> SuggestNext() override {
-      return Vector{1.0 / 256.0, 0.5, 0.5};
-    }
-    Status Observe(const Observation&) override { return Status::OK(); }
-
-   private:
-    std::string name_ = "bad";
-  };
-  DbInstanceSimulator sim = CaseStudySimulator(31);
-  BadAdvisor advisor;
-  SessionOptions options;
-  options.max_iterations = 100;
-  options.max_consecutive_infeasible = 5;
-  TuningSession session(&sim, &advisor, options);
-  const auto result = session.Run();
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->aborted_by_safeguard);
-  EXPECT_EQ(result->history.size(), 5u);
-  // The recommendation falls back to the default configuration.
-  EXPECT_EQ(result->best_iteration, 0);
-}
-
 TEST(TuningSessionTest, WritesCsvHistory) {
   DbInstanceSimulator sim = CaseStudySimulator(33);
   GridSearchAdvisor advisor(3, 2);
-  SessionOptions options;
+  EventSessionOptions options = SequentialSessionOptions();
   options.max_iterations = 8;
-  TuningSession session(&sim, &advisor, options);
+  EventTuningSession session(&sim, &advisor, options);
   const auto result = session.Run();
   ASSERT_TRUE(result.ok());
   const std::string path = testing::TempDir() + "/session.csv";
@@ -190,9 +158,9 @@ TEST(ResTuneAdvisorTest, RunsWithoutBaseLearners) {
   options.meta.static_weight_iterations = 3;
   options.workload_characterization_init = false;  // LHS init
   ResTuneAdvisor advisor(3, sim.knob_space().DefaultTheta(), {}, {}, options);
-  SessionOptions session_options;
+  EventSessionOptions session_options = SequentialSessionOptions();
   session_options.max_iterations = 12;
-  TuningSession session(&sim, &advisor, session_options);
+  EventTuningSession session(&sim, &advisor, session_options);
   const auto result = session.Run();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_LE(result->best_feasible_res, result->default_observation.res);
