@@ -7,12 +7,14 @@
 //               [--instance A..F] [--resource cpu|memory|io_bps|io_iops]
 //               [--iterations N] [--seed S]
 //               [--method restune|noml|ituned|ottertune|cdbtune]
-//               [--repository file.txt] [--save-repository file.txt]
+//               [--repository FILE] [--save-repository FILE]
 //               [--data-gb G] [--trace-out trace.jsonl]
 //               [--server HOST:PORT]
 //
 // With --save-repository, the finished session's observations are appended
 // to the repository file so later runs start warm (the paper's flywheel).
+// Repository files are binary (docs/SERVICE.md, "On disk") and are
+// replaced atomically, so an interrupted save keeps the previous file.
 // With --trace-out, the session's spans and final counters are written as
 // JSON lines (see docs/OBSERVABILITY.md for the schema).
 //

@@ -1,0 +1,267 @@
+#include "common/byte_codec.h"
+
+#include <array>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+
+namespace restune {
+
+namespace {
+
+constexpr char kFileMagic[4] = {'R', 'T', 'N', 'F'};
+
+std::array<uint32_t, 256> MakeCrcTable() {
+  std::array<uint32_t, 256> table{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+    table[i] = crc;
+  }
+  return table;
+}
+
+std::string FileHeader(FileKind kind, std::string_view payload) {
+  ByteWriter header;
+  header.PutBytes(std::string_view(kFileMagic, 4));
+  header.PutU8(kFileFormatVersion);
+  header.PutU8(static_cast<uint8_t>(kind));
+  header.PutU8(0);
+  header.PutU8(0);
+  header.PutU64(payload.size());
+  header.PutU32(Crc32(payload));
+  return header.Take();
+}
+
+/// Validates the envelope of `bytes` and strips it, leaving the payload.
+Status Unseal(FileKind kind, std::string* bytes) {
+  if (bytes->size() < kFileHeaderBytes) {
+    return Status::OutOfRange("file: truncated envelope (" +
+                              std::to_string(bytes->size()) + " bytes)");
+  }
+  ByteReader header(std::string_view(*bytes).substr(0, kFileHeaderBytes));
+  std::string_view magic;
+  uint8_t version = 0;
+  uint8_t stored_kind = 0;
+  std::string_view reserved;
+  uint64_t length = 0;
+  uint32_t crc = 0;
+  RESTUNE_RETURN_IF_ERROR(header.GetBytes(4, &magic));
+  RESTUNE_RETURN_IF_ERROR(header.GetU8(&version));
+  RESTUNE_RETURN_IF_ERROR(header.GetU8(&stored_kind));
+  RESTUNE_RETURN_IF_ERROR(header.GetBytes(2, &reserved));
+  RESTUNE_RETURN_IF_ERROR(header.GetU64(&length));
+  RESTUNE_RETURN_IF_ERROR(header.GetU32(&crc));
+  if (magic != std::string_view(kFileMagic, 4)) {
+    return Status::InvalidArgument("file: bad magic (not a restune binary "
+                                   "file; text formats are not supported)");
+  }
+  if (version != kFileFormatVersion) {
+    return Status::NotImplemented("file: unsupported format version " +
+                                  std::to_string(version));
+  }
+  if (stored_kind != static_cast<uint8_t>(kind)) {
+    return Status::InvalidArgument(
+        "file: kind " + std::to_string(stored_kind) + ", expected " +
+        std::to_string(static_cast<unsigned>(kind)));
+  }
+  if (reserved != std::string_view("\0\0", 2)) {
+    return Status::InvalidArgument("file: nonzero reserved bytes");
+  }
+  const size_t present = bytes->size() - kFileHeaderBytes;
+  if (length != present) {
+    return Status::OutOfRange("file: header declares " +
+                              std::to_string(length) + " payload bytes, " +
+                              std::to_string(present) + " present");
+  }
+  bytes->erase(0, kFileHeaderBytes);
+  if (Crc32(*bytes) != crc) return Status::IoError("file: CRC mismatch");
+  return Status::OK();
+}
+
+}  // namespace
+
+template <typename T>
+void ByteWriter::PutLe(T value) {
+  char bytes[sizeof(T)];
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    bytes[i] = static_cast<char>((value >> (8 * i)) & 0xff);
+  }
+  out_.append(bytes, sizeof(T));
+}
+
+void ByteWriter::PutU32(uint32_t value) { PutLe(value); }
+void ByteWriter::PutU64(uint64_t value) { PutLe(value); }
+
+void ByteWriter::PutF64(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  PutU64(bits);
+}
+
+void ByteWriter::PutString(std::string_view value) {
+  PutU32(static_cast<uint32_t>(value.size()));
+  out_.append(value.data(), value.size());
+}
+
+void ByteWriter::PutVector(const std::vector<double>& value) {
+  PutU32(static_cast<uint32_t>(value.size()));
+  for (double v : value) PutF64(v);
+}
+
+Status ByteReader::Need(size_t n) const {
+  if (n > remaining()) {
+    return Status::InvalidArgument("bytes: payload truncated");
+  }
+  return Status::OK();
+}
+
+Status ByteReader::GetU8(uint8_t* value) {
+  RESTUNE_RETURN_IF_ERROR(Need(1));
+  *value = static_cast<uint8_t>(data_[pos_++]);
+  return Status::OK();
+}
+
+template <typename T>
+Status ByteReader::GetLe(T* value) {
+  RESTUNE_RETURN_IF_ERROR(Need(sizeof(T)));
+  T out = 0;
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    out |= static_cast<T>(static_cast<uint8_t>(data_[pos_ + i])) << (8 * i);
+  }
+  pos_ += sizeof(T);
+  *value = out;
+  return Status::OK();
+}
+
+Status ByteReader::GetU32(uint32_t* value) { return GetLe(value); }
+Status ByteReader::GetU64(uint64_t* value) { return GetLe(value); }
+
+Status ByteReader::GetI64(int64_t* value) {
+  uint64_t bits = 0;
+  RESTUNE_RETURN_IF_ERROR(GetU64(&bits));
+  *value = static_cast<int64_t>(bits);
+  return Status::OK();
+}
+
+Status ByteReader::GetF64(double* value) {
+  uint64_t bits = 0;
+  RESTUNE_RETURN_IF_ERROR(GetU64(&bits));
+  std::memcpy(value, &bits, sizeof(*value));
+  return Status::OK();
+}
+
+Status ByteReader::GetBool(bool* value) {
+  uint8_t raw = 0;
+  RESTUNE_RETURN_IF_ERROR(GetU8(&raw));
+  if (raw > 1) return Status::InvalidArgument("bytes: non-boolean flag");
+  *value = raw != 0;
+  return Status::OK();
+}
+
+Status ByteReader::GetString(std::string* value) {
+  uint32_t len = 0;
+  RESTUNE_RETURN_IF_ERROR(GetCount(&len, 1));
+  value->assign(data_.data() + pos_, len);
+  pos_ += len;
+  return Status::OK();
+}
+
+Status ByteReader::GetVector(std::vector<double>* value) {
+  uint32_t count = 0;
+  RESTUNE_RETURN_IF_ERROR(GetCount(&count, 8));
+  value->resize(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    RESTUNE_RETURN_IF_ERROR(GetF64(&(*value)[i]));
+  }
+  return Status::OK();
+}
+
+Status ByteReader::GetCount(uint32_t* count, size_t min_element_bytes) {
+  RESTUNE_RETURN_IF_ERROR(GetU32(count));
+  // Checked against the bytes actually present, so a hostile count can
+  // never drive allocation past the input size.
+  if (static_cast<uint64_t>(*count) * min_element_bytes > remaining()) {
+    return Status::InvalidArgument("bytes: count " + std::to_string(*count) +
+                                   " exceeds the remaining payload");
+  }
+  return Status::OK();
+}
+
+Status ByteReader::GetBytes(size_t n, std::string_view* bytes) {
+  RESTUNE_RETURN_IF_ERROR(Need(n));
+  *bytes = data_.substr(pos_, n);
+  pos_ += n;
+  return Status::OK();
+}
+
+Status ByteReader::ExpectEnd() const {
+  if (pos_ != data_.size()) {
+    return Status::InvalidArgument("bytes: trailing bytes after message");
+  }
+  return Status::OK();
+}
+
+uint32_t Crc32(std::string_view data) {
+  static const std::array<uint32_t, 256> table = MakeCrcTable();
+  uint32_t crc = 0xFFFFFFFFu;
+  for (char c : data) {
+    crc = (crc >> 8) ^ table[(crc ^ static_cast<uint8_t>(c)) & 0xffu];
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+Status WriteSealed(FileKind kind, std::string_view payload,
+                   std::ostream* out) {
+  const std::string header = FileHeader(kind, payload);
+  out->write(header.data(), static_cast<std::streamsize>(header.size()));
+  out->write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  if (!out->good()) return Status::IoError("file: write failed");
+  return Status::OK();
+}
+
+Result<std::string> ReadSealed(FileKind kind, std::istream* in) {
+  std::string bytes{std::istreambuf_iterator<char>(*in),
+                    std::istreambuf_iterator<char>()};
+  RESTUNE_RETURN_IF_ERROR(Unseal(kind, &bytes));
+  return bytes;
+}
+
+Status SaveSealedFile(const std::string& path, FileKind kind,
+                      std::string_view payload) {
+  const std::string tmp = path + ".tmp";
+  Status write_status = Status::OK();
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) return Status::NotFound("cannot open '" + tmp + "' for write");
+    write_status = WriteSealed(kind, payload, &out);
+    if (write_status.ok()) {
+      out.flush();
+      if (!out.good()) {
+        write_status = Status::IoError("write to '" + tmp + "' failed");
+      }
+    }
+  }
+  // Never leave a half-written temp file behind: a stale .tmp from a
+  // failed save must not shadow or outlive the real file.
+  if (!write_status.ok()) {
+    std::remove(tmp.c_str());
+    return write_status;
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status::IoError("rename '" + tmp + "' -> '" + path + "' failed");
+  }
+  return Status::OK();
+}
+
+Result<std::string> LoadSealedFile(const std::string& path, FileKind kind) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::NotFound("cannot open '" + path + "'");
+  return ReadSealed(kind, &in);
+}
+
+}  // namespace restune

@@ -1,22 +1,21 @@
 #include "gp/gp_serialization.h"
 
+#include <cmath>
 #include <memory>
 #include <string>
 
+#include "common/contracts.h"
 #include "common/fnv.h"
 #include "common/logging.h"
-#include "common/string_util.h"
 #include "obs/metrics.h"
 
 namespace restune {
 
 namespace {
 
-/// Checksum of a serialized factor: jitter then the lower-triangle entries
-/// row-major, all hashed by bit pattern. Text round-trips at precision 17
-/// reproduce doubles exactly, so save- and load-side hashes agree unless
-/// the file was edited or truncated.
-std::string FactorChecksum(const Matrix& lower, double jitter) {
+/// Checksum of a serialized factor: size, jitter, then the lower-triangle
+/// entries row-major, all hashed by bit pattern.
+uint64_t FactorChecksum(const Matrix& lower, double jitter) {
   Fnv1a fnv;
   fnv.AddU64(lower.rows());
   fnv.AddDouble(jitter);
@@ -24,7 +23,7 @@ std::string FactorChecksum(const Matrix& lower, double jitter) {
     const double* row = lower.RowPtr(i);
     for (size_t j = 0; j <= i; ++j) fnv.AddDouble(row[j]);
   }
-  return fnv.Hex();
+  return fnv.hash();
 }
 
 struct SerializationMetrics {
@@ -60,120 +59,78 @@ Result<std::unique_ptr<Kernel>> MakeKernelByName(const std::string& name,
 
 }  // namespace
 
-Status SaveGpModel(const GpModel& model, std::ostream* out) {
+Status WriteGpModel(ByteWriter* out, const GpModel& model) {
   if (!model.fitted()) {
     return Status::FailedPrecondition("cannot serialize an unfitted GP");
   }
-  std::ostream& os = *out;
-  os.precision(17);
   const size_t n = model.num_observations();
   const size_t d = model.dim();
-  // Version 2 appends the fitted Cholesky factor (checksummed) after the
-  // training data, so loaders restore in O(n^2) instead of refactorizing
-  // in O(n^3). Version-1 files (no factor records) still load.
-  os << "gpmodel 2\n";  // format version
-  os << "kernel " << model.kernel().name();
-  for (double p : model.kernel().GetLogParams()) os << " " << p;
-  os << "\n";
-  const GpOptions& options = model.options();
-  os << "options " << options.noise_variance << " "
-     << (options.normalize_y ? 1 : 0) << "\n";
-  os << "data " << n << " " << d << "\n";
-  const Vector y = model.train_y();
+  out->PutString(model.kernel().name());
+  out->PutVector(model.kernel().GetLogParams());
+  out->PutF64(model.options().noise_variance);
+  out->PutBool(model.options().normalize_y);
+  Vector x;
+  x.reserve(n * d);
   for (size_t i = 0; i < n; ++i) {
-    for (size_t c = 0; c < d; ++c) os << model.train_x()(i, c) << " ";
-    os << "| " << y[i] << "\n";
+    const double* row = model.train_x().RowPtr(i);
+    x.insert(x.end(), row, row + d);
   }
+  out->PutVector(x);
+  out->PutVector(model.train_y());
   const Cholesky& factor = model.factor();
-  os << "factor " << factor.jitter() << "\n";
+  Vector lower;
+  lower.reserve(n * (n + 1) / 2);
   for (size_t i = 0; i < n; ++i) {
     const double* row = factor.lower().RowPtr(i);
-    for (size_t j = 0; j <= i; ++j) {
-      if (j > 0) os << " ";
-      os << row[j];
-    }
-    os << "\n";
+    lower.insert(lower.end(), row, row + i + 1);
   }
-  os << "checksum " << FactorChecksum(factor.lower(), factor.jitter()) << "\n";
-  os << "endgp\n";
-  return os.good() ? Status::OK() : Status::IoError("GP write failed");
+  out->PutF64(factor.jitter());
+  out->PutVector(lower);
+  out->PutU64(FactorChecksum(factor.lower(), factor.jitter()));
+  return Status::OK();
 }
 
-Result<GpModel> LoadGpModel(std::istream* in) {
-  std::istream& is = *in;
-  std::string tag;
-  int version = 0;
-  if (!(is >> tag >> version) || tag != "gpmodel" ||
-      (version != 1 && version != 2)) {
-    return Status::IoError("bad GP header");
-  }
+Result<GpModel> ReadGpModel(ByteReader* in) {
   std::string kernel_name;
-  if (!(is >> tag >> kernel_name) || tag != "kernel") {
-    return Status::IoError("missing kernel record");
-  }
-  // Log-params follow until the options line; read the rest of the line.
   Vector log_params;
-  {
-    std::string rest;
-    std::getline(is, rest);
-    for (const std::string& piece : SplitString(rest, " \t")) {
-      log_params.push_back(std::stod(piece));
-    }
-  }
   double noise = 0.0;
-  int normalize = 0;
-  if (!(is >> tag >> noise >> normalize) || tag != "options") {
-    return Status::IoError("missing options record");
+  bool normalize = false;
+  Vector flat_x;
+  Vector y;
+  double jitter = 0.0;
+  Vector packed_lower;
+  uint64_t stored_checksum = 0;
+  RESTUNE_RETURN_IF_ERROR(in->GetString(&kernel_name));
+  RESTUNE_RETURN_IF_ERROR(in->GetVector(&log_params));
+  RESTUNE_RETURN_IF_ERROR(in->GetF64(&noise));
+  RESTUNE_RETURN_IF_ERROR(in->GetBool(&normalize));
+  RESTUNE_RETURN_IF_ERROR(in->GetVector(&flat_x));
+  RESTUNE_RETURN_IF_ERROR(in->GetVector(&y));
+  RESTUNE_RETURN_IF_ERROR(in->GetF64(&jitter));
+  RESTUNE_RETURN_IF_ERROR(in->GetVector(&packed_lower));
+  RESTUNE_RETURN_IF_ERROR(in->GetU64(&stored_checksum));
+
+  // Every size derives from a vector the reader already bounded by the
+  // payload, so none of the allocations below can outgrow the input.
+  if (log_params.size() < 2 || !internal::AllFinite(log_params) ||
+      !std::isfinite(noise)) {
+    return Status::InvalidArgument("GP: malformed hyper-parameters");
   }
-  size_t n = 0, d = 0;
-  if (!(is >> tag >> n >> d) || tag != "data" || n == 0 || d == 0) {
-    return Status::IoError("missing data record");
+  const size_t d = log_params.size() - 1;
+  const size_t n = y.size();
+  if (n == 0 || flat_x.size() % d != 0 || flat_x.size() / d != n) {
+    return Status::InvalidArgument("GP: training data shape mismatch");
   }
-  if (log_params.size() != d + 1) {
-    return Status::IoError("kernel parameter count does not match dimension");
+  if (packed_lower.size() != n * (n + 1) / 2) {
+    return Status::InvalidArgument("GP: factor size mismatch");
   }
   Matrix x(n, d);
-  Vector y(n);
   for (size_t i = 0; i < n; ++i) {
-    for (size_t c = 0; c < d; ++c) {
-      if (!(is >> x(i, c))) return Status::IoError("truncated X row");
-    }
-    std::string sep;
-    if (!(is >> sep >> y[i]) || sep != "|") {
-      return Status::IoError("malformed y value");
-    }
+    for (size_t c = 0; c < d; ++c) x(i, c) = flat_x[i * d + c];
   }
-  // Version 2: the fitted factor follows the data rows.
-  bool have_factor = false;
-  double jitter = 0.0;
-  Matrix lower;
-  if (version >= 2) {
-    if (!(is >> tag >> jitter) || tag != "factor") {
-      return Status::IoError("missing factor record");
-    }
-    lower = Matrix(n, n);
-    for (size_t i = 0; i < n; ++i) {
-      double* row = lower.RowPtr(i);
-      for (size_t j = 0; j <= i; ++j) {
-        if (!(is >> row[j])) return Status::IoError("truncated factor row");
-      }
-    }
-    std::string stored_checksum;
-    if (!(is >> tag >> stored_checksum) || tag != "checksum") {
-      return Status::IoError("missing factor checksum");
-    }
-    if (stored_checksum == FactorChecksum(lower, jitter)) {
-      have_factor = true;
-    } else {
-      // A corrupted factor is recoverable — the training data is intact, so
-      // fall back to refactorizing rather than failing the load.
-      RESTUNE_LOG(kWarning)
-          << "GP factor checksum mismatch; refactorizing from training data";
-    }
-  }
-
-  if (!(is >> tag) || tag != "endgp") {
-    return Status::IoError("missing endgp terminator");
+  Matrix lower(n, n);
+  for (size_t i = 0, k = 0; i < n; ++i) {
+    for (size_t j = 0; j <= i; ++j) lower(i, j) = packed_lower[k++];
   }
 
   RESTUNE_ASSIGN_OR_RETURN(std::unique_ptr<Kernel> kernel,
@@ -181,12 +138,12 @@ Result<GpModel> LoadGpModel(std::istream* in) {
   kernel->SetLogParams(log_params);
   GpOptions options;
   options.noise_variance = noise;
-  options.normalize_y = normalize != 0;
+  options.normalize_y = normalize;
   // Hyper-parameters were optimized before saving; loading restores the
-  // cached factor (v2) or refits the Cholesky factor (v1 / bad checksum).
+  // cached factor or, failing that, refactorizes with them.
   options.optimize_hyperparams = false;
   GpModel model(std::move(kernel), options);
-  if (have_factor) {
+  if (stored_checksum == FactorChecksum(lower, jitter)) {
     Result<Cholesky> factor = Cholesky::FromLower(std::move(lower), jitter);
     if (factor.ok()) {
       RESTUNE_RETURN_IF_ERROR(
@@ -197,16 +154,20 @@ Result<GpModel> LoadGpModel(std::istream* in) {
     RESTUNE_LOG(kWarning) << "stored GP factor rejected ("
                           << factor.status().ToString()
                           << "); refactorizing from training data";
+  } else {
+    // A corrupted factor is recoverable — the training data is intact, so
+    // fall back to refactorizing rather than failing the load.
+    RESTUNE_LOG(kWarning)
+        << "GP factor checksum mismatch; refactorizing from training data";
   }
   SerializationMetrics::Get()->factor_fallbacks->Add();
   RESTUNE_RETURN_IF_ERROR(model.Fit(x, y));
   return model;
 }
 
-Status SaveMultiOutputGp(const MultiOutputGp& model, std::ostream* out) {
-  *out << "multioutputgp 1\n";
+Status WriteMultiOutputGp(ByteWriter* out, const MultiOutputGp& model) {
   for (MetricKind kind : kAllMetricKinds) {
-    RESTUNE_RETURN_IF_ERROR(SaveGpModel(model.model(kind), out));
+    RESTUNE_RETURN_IF_ERROR(WriteGpModel(out, model.model(kind)));
   }
   return Status::OK();
 }
@@ -219,15 +180,10 @@ Status SaveMultiOutputGp(const MultiOutputGp& model, std::ostream* out) {
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
-Result<MultiOutputGp> LoadMultiOutputGp(std::istream* in) {
-  std::string tag;
-  int version = 0;
-  if (!(*in >> tag >> version) || tag != "multioutputgp" || version != 1) {
-    return Status::IoError("bad multi-output GP header");
-  }
-  RESTUNE_ASSIGN_OR_RETURN(GpModel res, LoadGpModel(in));
-  RESTUNE_ASSIGN_OR_RETURN(GpModel tps, LoadGpModel(in));
-  RESTUNE_ASSIGN_OR_RETURN(GpModel lat, LoadGpModel(in));
+Result<MultiOutputGp> ReadMultiOutputGp(ByteReader* in) {
+  RESTUNE_ASSIGN_OR_RETURN(GpModel res, ReadGpModel(in));
+  RESTUNE_ASSIGN_OR_RETURN(GpModel tps, ReadGpModel(in));
+  RESTUNE_ASSIGN_OR_RETURN(GpModel lat, ReadGpModel(in));
   return MultiOutputGp(
       std::array<GpModel, kNumMetricKinds>{std::move(res), std::move(tps),
                                            std::move(lat)});
@@ -235,5 +191,20 @@ Result<MultiOutputGp> LoadMultiOutputGp(std::istream* in) {
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
+
+Status SaveGpModel(const GpModel& model, std::ostream* out) {
+  ByteWriter payload;
+  RESTUNE_RETURN_IF_ERROR(WriteGpModel(&payload, model));
+  return WriteSealed(FileKind::kGpModel, payload.str(), out);
+}
+
+Result<GpModel> LoadGpModel(std::istream* in) {
+  RESTUNE_ASSIGN_OR_RETURN(const std::string payload,
+                           ReadSealed(FileKind::kGpModel, in));
+  ByteReader reader(payload);
+  RESTUNE_ASSIGN_OR_RETURN(GpModel model, ReadGpModel(&reader));
+  RESTUNE_RETURN_IF_ERROR(reader.ExpectEnd());
+  return model;
+}
 
 }  // namespace restune

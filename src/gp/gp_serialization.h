@@ -4,31 +4,34 @@
 #include <istream>
 #include <ostream>
 
+#include "common/byte_codec.h"
 #include "common/result.h"
 #include "gp/gp_model.h"
 #include "gp/multi_output_gp.h"
 
 namespace restune {
 
-/// Text serialization for trained GP models.
+/// Binary serialization for trained GP models (common/byte_codec.h).
 ///
 /// A production data repository keeps base models trained, not just raw
 /// observations (paper Fig. 2 stores "Base Model of Task i"); these
 /// helpers persist a fitted `GpModel` — kernel type and hyper-parameters,
-/// fit options, and training data — so loading skips the marginal-
-/// likelihood search and only re-factorizes (O(n³) once, no optimization).
-///
-/// Format: line-oriented text, doubles at full precision.
+/// fit options, training data and the fitted Cholesky factor with an FNV
+/// checksum — so loading skips both the marginal-likelihood search and the
+/// O(n³) factorization. A factor whose checksum does not match is dropped
+/// and the model refactorizes from its training data
+/// (`restune_gp_factor_fallbacks_total`).
 
+/// Payload codecs, embedded in the data repository's learner records.
+Status WriteGpModel(ByteWriter* out, const GpModel& model);
+Result<GpModel> ReadGpModel(ByteReader* in);
+/// Three stacked single-output models (res, tps, lat).
+Status WriteMultiOutputGp(ByteWriter* out, const MultiOutputGp& model);
+Result<MultiOutputGp> ReadMultiOutputGp(ByteReader* in);
+
+/// A standalone model file: one sealed FileKind::kGpModel payload.
 Status SaveGpModel(const GpModel& model, std::ostream* out);
-
-/// Loads a model previously written by `SaveGpModel`. The returned model is
-/// fitted (factorized) with the stored hyper-parameters.
 Result<GpModel> LoadGpModel(std::istream* in);
-
-/// Multi-output variants (three stacked single-output models).
-Status SaveMultiOutputGp(const MultiOutputGp& model, std::ostream* out);
-Result<MultiOutputGp> LoadMultiOutputGp(std::istream* in);
 
 }  // namespace restune
 

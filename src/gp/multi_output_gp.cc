@@ -45,13 +45,17 @@ Status MultiOutputGp::Fit(const std::vector<Observation>& observations,
   if (observations.empty()) {
     return Status::InvalidArgument("no observations to fit");
   }
-  for (const Observation& obs : observations) {
-    RESTUNE_RETURN_IF_ERROR(
-        ValidateFinite(obs.theta, obs.res, obs.tps, obs.lat));
-  }
-  for (const Observation& obs : constraint_only) {
-    RESTUNE_RETURN_IF_ERROR(
-        ValidateFinite(obs.theta, obs.res, obs.tps, obs.lat));
+  // Rows are copied into one matrix, so a θ of another width (a corrupt
+  // repository file, say) must be rejected, not written out of bounds.
+  const size_t dim = observations[0].theta.size();
+  for (const auto* set : {&observations, &constraint_only}) {
+    for (const Observation& obs : *set) {
+      if (obs.theta.size() != dim) {
+        return Status::InvalidArgument("observations differ in dimension");
+      }
+      RESTUNE_RETURN_IF_ERROR(
+          ValidateFinite(obs.theta, obs.res, obs.tps, obs.lat));
+    }
   }
   Matrix x(observations.size(), observations[0].theta.size());
   for (size_t r = 0; r < observations.size(); ++r) {

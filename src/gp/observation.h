@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/byte_codec.h"
+#include "common/status.h"
 #include "linalg/matrix.h"
 
 namespace restune {
@@ -71,6 +73,14 @@ struct SlaConstraints {
            obs.lat <= max_lat * (1.0 + tolerance);
   }
 };
+
+/// Binary codecs (common/byte_codec.h), shared by the wire messages, both
+/// checkpoints and the data repository. All fields travel bit-exactly,
+/// `internals` included.
+void WriteObservation(ByteWriter* out, const Observation& obs);
+Status ReadObservation(ByteReader* in, Observation* obs);
+void WriteSlaConstraints(ByteWriter* out, const SlaConstraints& sla);
+Status ReadSlaConstraints(ByteReader* in, SlaConstraints* sla);
 
 }  // namespace restune
 

@@ -1,12 +1,9 @@
 #include "meta/data_repository.h"
 
-#include <cstdio>
-#include <fstream>
+#include <array>
 #include <memory>
-#include <sstream>
 
 #include "common/logging.h"
-#include "common/string_util.h"
 #include "gp/gp_serialization.h"
 #include "meta/base_learner_cache.h"
 
@@ -100,163 +97,89 @@ size_t DataRepository::Compact(size_t max_observations_per_task) {
   return removed;
 }
 
-Status DataRepository::SaveToFile(const std::string& path) const {
-  return SaveToFile(path, {});
+namespace {
+
+Status WriteLearner(ByteWriter* out, const BaseLearner& learner) {
+  out->PutString(learner.name());
+  out->PutVector(learner.meta_feature());
+  for (MetricKind kind : kAllMetricKinds) {
+    out->PutF64(learner.standardizer().mean(kind));
+  }
+  for (MetricKind kind : kAllMetricKinds) {
+    out->PutF64(learner.standardizer().stddev(kind));
+  }
+  out->PutString(learner.fingerprint());
+  return WriteMultiOutputGp(out, learner.gp());
 }
+
+Result<BaseLearner> ReadLearner(ByteReader* in) {
+  std::string name;
+  Vector meta_feature;
+  std::array<double, kNumMetricKinds> means{};
+  std::array<double, kNumMetricKinds> stds{};
+  std::string fingerprint;
+  RESTUNE_RETURN_IF_ERROR(in->GetString(&name));
+  RESTUNE_RETURN_IF_ERROR(in->GetVector(&meta_feature));
+  for (double& v : means) RESTUNE_RETURN_IF_ERROR(in->GetF64(&v));
+  for (double& v : stds) RESTUNE_RETURN_IF_ERROR(in->GetF64(&v));
+  RESTUNE_RETURN_IF_ERROR(in->GetString(&fingerprint));
+  // The GP payload restores cached Cholesky factors, so no O(n^3)
+  // refactorization happens on this path.
+  RESTUNE_ASSIGN_OR_RETURN(MultiOutputGp gp, ReadMultiOutputGp(in));
+  return BaseLearner::FromParts(
+      std::move(name), std::move(meta_feature),
+      MetricStandardizer::FromMoments(means, stds),
+      std::make_shared<MultiOutputGp>(std::move(gp)), std::move(fingerprint));
+}
+
+}  // namespace
 
 Status DataRepository::SaveToFile(
     const std::string& path, const std::vector<BaseLearner>& learners) const {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open '" + path + "' for writing");
-  out.precision(17);  // round-trip doubles exactly
-  for (const TuningTask& task : tasks_) {
-    out << "task " << task.name << " " << task.hardware << " "
-        << task.workload << "\n";
-    out << "meta";
-    for (double v : task.meta_feature) out << " " << v;
-    out << "\n";
-    for (const Observation& obs : task.observations) {
-      out << "obs";
-      for (double v : obs.theta) out << " " << v;
-      out << " | " << obs.res << " " << obs.tps << " " << obs.lat << "\n";
-    }
-    out << "end\n";
-  }
+  ByteWriter out;
+  out.PutU32(static_cast<uint32_t>(tasks_.size()));
+  for (const TuningTask& task : tasks_) WriteTuningTask(&out, task);
+  out.PutU32(static_cast<uint32_t>(learners.size()));
   for (const BaseLearner& learner : learners) {
-    out << "learner " << learner.name() << "\n";
-    out << "lmeta";
-    for (double v : learner.meta_feature()) out << " " << v;
-    out << "\n";
-    out << "std";
-    for (MetricKind kind : kAllMetricKinds) {
-      out << " " << learner.standardizer().mean(kind);
-    }
-    for (MetricKind kind : kAllMetricKinds) {
-      out << " " << learner.standardizer().stddev(kind);
-    }
-    out << "\n";
-    out << "fingerprint "
-        << (learner.fingerprint().empty() ? "-" : learner.fingerprint())
-        << "\n";
-    RESTUNE_RETURN_IF_ERROR(SaveMultiOutputGp(learner.gp(), &out));
-    out << "endlearner\n";
+    RESTUNE_RETURN_IF_ERROR(WriteLearner(&out, learner));
   }
-  return out.good() ? Status::OK()
-                    : Status::IoError("write to '" + path + "' failed");
+  return SaveSealedFile(path, FileKind::kRepository, out.str());
 }
 
 Status DataRepository::LoadFromFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open '" + path + "' for reading");
-  loaded_learners_.clear();
-  std::string line;
-  TuningTask current;
-  bool in_task = false;
-  size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
-    if (tag.empty()) continue;
-    if (tag == "task") {
-      if (in_task) {
-        return Status::IoError(
-            StringPrintf("line %zu: nested task record", line_no));
-      }
-      current = TuningTask{};
-      ls >> current.name >> current.hardware >> current.workload;
-      in_task = true;
-    } else if (tag == "meta") {
-      double v;
-      while (ls >> v) current.meta_feature.push_back(v);
-    } else if (tag == "obs") {
-      Observation obs;
-      std::string tok;
-      while (ls >> tok && tok != "|") obs.theta.push_back(std::stod(tok));
-      if (tok != "|" || !(ls >> obs.res >> obs.tps >> obs.lat)) {
-        return Status::IoError(
-            StringPrintf("line %zu: malformed observation", line_no));
-      }
-      current.observations.push_back(std::move(obs));
-    } else if (tag == "end") {
-      if (!in_task) {
-        return Status::IoError(
-            StringPrintf("line %zu: 'end' without 'task'", line_no));
-      }
-      RESTUNE_RETURN_IF_ERROR(AddTask(std::move(current)));
-      in_task = false;
-    } else if (tag == "learner") {
-      if (in_task) {
-        return Status::IoError(
-            StringPrintf("line %zu: learner record inside task", line_no));
-      }
-      std::string learner_name;
-      if (!(ls >> learner_name)) {
-        return Status::IoError(
-            StringPrintf("line %zu: learner record without name", line_no));
-      }
-      // lmeta line (meta-feature values).
-      if (!std::getline(in, line)) {
-        return Status::IoError("truncated learner record: missing lmeta");
-      }
-      ++line_no;
-      Vector meta_feature;
-      {
-        std::istringstream ms(line);
-        std::string mtag;
-        if (!(ms >> mtag) || mtag != "lmeta") {
-          return Status::IoError(
-              StringPrintf("line %zu: expected lmeta record", line_no));
-        }
-        double v;
-        while (ms >> v) meta_feature.push_back(v);
-      }
-      // std line: three means then three stddevs (res, tps, lat order).
-      if (!std::getline(in, line)) {
-        return Status::IoError("truncated learner record: missing std");
-      }
-      ++line_no;
-      std::array<double, kNumMetricKinds> means{};
-      std::array<double, kNumMetricKinds> stds{};
-      {
-        std::istringstream ss(line);
-        std::string stag;
-        ss >> stag;
-        for (double& v : means) ss >> v;
-        for (double& v : stds) ss >> v;
-        if (stag != "std" || !ss) {
-          return Status::IoError(
-              StringPrintf("line %zu: malformed std record", line_no));
-        }
-      }
-      std::string fingerprint;
-      if (!(in >> line) || line != "fingerprint" || !(in >> fingerprint)) {
-        return Status::IoError("truncated learner record: missing fingerprint");
-      }
-      if (fingerprint == "-") fingerprint.clear();
-      // The GP payload — restores cached Cholesky factors, so no O(n^3)
-      // refactorization happens on this path.
-      RESTUNE_ASSIGN_OR_RETURN(MultiOutputGp gp, LoadMultiOutputGp(&in));
-      if (!(in >> line) || line != "endlearner") {
-        return Status::IoError("truncated learner record: missing endlearner");
-      }
-      BaseLearner learner = BaseLearner::FromParts(
-          learner_name, std::move(meta_feature),
-          MetricStandardizer::FromMoments(means, stds),
-          std::make_shared<MultiOutputGp>(std::move(gp)), fingerprint);
-      // Pre-seed the process cache: TrainBaseLearners over the same tasks
-      // and options will hit these entries instead of refitting.
-      if (!fingerprint.empty()) {
-        BaseLearnerCache::Global()->Insert(fingerprint, learner);
-      }
-      loaded_learners_.push_back(std::move(learner));
-    } else {
-      return Status::IoError(
-          StringPrintf("line %zu: unknown record '%s'", line_no, tag.c_str()));
+  RESTUNE_ASSIGN_OR_RETURN(const std::string payload,
+                           LoadSealedFile(path, FileKind::kRepository));
+  ByteReader in(payload);
+  // Decode everything before touching `this`, so a bad file appends
+  // nothing. Element counts are checked against the smallest encodings: a
+  // task (3 empty strings, an empty vector, a zero count) and a learner
+  // (two empty strings, an empty vector, six doubles).
+  DataRepository staged;
+  uint32_t count = 0;
+  RESTUNE_RETURN_IF_ERROR(in.GetCount(&count, 20));
+  for (uint32_t i = 0; i < count; ++i) {
+    TuningTask task;
+    RESTUNE_RETURN_IF_ERROR(ReadTuningTask(&in, &task));
+    RESTUNE_RETURN_IF_ERROR(staged.AddTask(std::move(task)));
+  }
+  RESTUNE_RETURN_IF_ERROR(in.GetCount(&count, 60));
+  std::vector<BaseLearner> learners;
+  learners.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    RESTUNE_ASSIGN_OR_RETURN(BaseLearner learner, ReadLearner(&in));
+    learners.push_back(std::move(learner));
+  }
+  RESTUNE_RETURN_IF_ERROR(in.ExpectEnd());
+
+  for (TuningTask& task : staged.tasks_) tasks_.push_back(std::move(task));
+  // Pre-seed the process cache: TrainBaseLearners over the same tasks and
+  // options will hit these entries instead of refitting.
+  for (const BaseLearner& learner : learners) {
+    if (!learner.fingerprint().empty()) {
+      BaseLearnerCache::Global()->Insert(learner.fingerprint(), learner);
     }
   }
-  if (in_task) return Status::IoError("truncated file: task without 'end'");
+  loaded_learners_ = std::move(learners);
   return Status::OK();
 }
 

@@ -54,20 +54,20 @@ class DataRepository {
   /// store or skew the ensemble toward duplicated learners.
   size_t Compact(size_t max_observations_per_task = 400);
 
-  /// Serializes all tasks to a line-oriented text file.
-  Status SaveToFile(const std::string& path) const;
-
-  /// Serializes all tasks plus trained base-learners — including each
-  /// learner's fitted GP with its cached Cholesky factors — so a later
-  /// `LoadFromFile` pre-seeds the process-global `BaseLearnerCache` and
-  /// `TrainBaseLearners` never refits what this call persisted.
+  /// Writes all tasks, plus `learners` with their fitted GPs and cached
+  /// Cholesky factors, as one sealed FileKind::kRepository file
+  /// (common/byte_codec.h). A later `LoadFromFile` pre-seeds the
+  /// process-global `BaseLearnerCache`, so `TrainBaseLearners` never refits
+  /// what this call persisted. Atomic: a failed or interrupted save leaves
+  /// the previous file intact.
   Status SaveToFile(const std::string& path,
-                    const std::vector<BaseLearner>& learners) const;
+                    const std::vector<BaseLearner>& learners = {}) const;
 
   /// Loads tasks previously written by `SaveToFile` (appends to the
-  /// current contents). Serialized base-learner records, when present, are
-  /// reassembled without training and inserted into the global
-  /// `BaseLearnerCache` under their stored fingerprints.
+  /// current contents; nothing is appended unless the whole file decodes).
+  /// Serialized base-learner records are reassembled without training and
+  /// inserted into the global `BaseLearnerCache` under their stored
+  /// fingerprints.
   Status LoadFromFile(const std::string& path);
 
   /// Base-learners reassembled by the last `LoadFromFile` call.

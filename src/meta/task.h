@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "common/byte_codec.h"
+#include "common/status.h"
 #include "gp/observation.h"
 
 namespace restune {
@@ -24,6 +26,12 @@ struct TuningTask {
   /// Raw (unstandardized) observation history.
   std::vector<Observation> observations;
 };
+
+/// Binary codec (common/byte_codec.h), shared by the data repository file
+/// and the server checkpoint. Every field round-trips exactly — names with
+/// spaces and each observation's `internals` included.
+void WriteTuningTask(ByteWriter* out, const TuningTask& task);
+Status ReadTuningTask(ByteReader* in, TuningTask* task);
 
 }  // namespace restune
 

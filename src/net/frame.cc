@@ -1,83 +1,52 @@
 #include "net/frame.h"
 
-#include <array>
-#include <cstring>
+#include "common/byte_codec.h"
 
 namespace restune {
 namespace net {
 
-namespace {
-
-std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
-  for (uint32_t i = 0; i < 256; ++i) {
-    uint32_t crc = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
-    }
-    table[i] = crc;
-  }
-  return table;
-}
-
-void PutU32Le(uint32_t value, char* out) {
-  out[0] = static_cast<char>(value & 0xff);
-  out[1] = static_cast<char>((value >> 8) & 0xff);
-  out[2] = static_cast<char>((value >> 16) & 0xff);
-  out[3] = static_cast<char>((value >> 24) & 0xff);
-}
-
-uint32_t GetU32Le(const char* in) {
-  return static_cast<uint32_t>(static_cast<uint8_t>(in[0])) |
-         static_cast<uint32_t>(static_cast<uint8_t>(in[1])) << 8 |
-         static_cast<uint32_t>(static_cast<uint8_t>(in[2])) << 16 |
-         static_cast<uint32_t>(static_cast<uint8_t>(in[3])) << 24;
-}
-
-}  // namespace
-
-uint32_t Crc32(std::string_view data) {
-  static const std::array<uint32_t, 256> table = MakeCrcTable();
-  uint32_t crc = 0xFFFFFFFFu;
-  for (char c : data) {
-    crc = (crc >> 8) ^ table[(crc ^ static_cast<uint8_t>(c)) & 0xffu];
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
 std::string EncodeFrame(uint8_t type, std::string_view payload) {
-  std::string out;
-  out.resize(kFrameHeaderBytes + payload.size());
-  std::memcpy(&out[0], kWireMagic, 4);
-  out[4] = static_cast<char>(kWireVersion);
-  out[5] = static_cast<char>(type);
-  out[6] = 0;
-  out[7] = 0;
-  PutU32Le(static_cast<uint32_t>(payload.size()), &out[8]);
-  PutU32Le(Crc32(payload), &out[12]);
-  std::memcpy(&out[kFrameHeaderBytes], payload.data(), payload.size());
-  return out;
+  ByteWriter frame;
+  frame.PutBytes(std::string_view(kWireMagic, 4));
+  frame.PutU8(kWireVersion);
+  frame.PutU8(type);
+  frame.PutU8(0);
+  frame.PutU8(0);
+  frame.PutU32(static_cast<uint32_t>(payload.size()));
+  frame.PutU32(Crc32(payload));
+  frame.PutBytes(payload);
+  return frame.Take();
 }
 
 Result<bool> FrameDecoder::Next(Frame* frame) {
   if (!failed_.ok()) return failed_;
   if (buffer_.size() < kFrameHeaderBytes) return false;
-  const char* hdr = buffer_.data();
-  if (std::memcmp(hdr, kWireMagic, 4) != 0) {
+  ByteReader header(std::string_view(buffer_).substr(0, kFrameHeaderBytes));
+  std::string_view magic;
+  uint8_t version = 0;
+  uint8_t type = 0;
+  std::string_view reserved;
+  uint32_t payload_size = 0;
+  uint32_t expected_crc = 0;
+  RESTUNE_RETURN_IF_ERROR(header.GetBytes(4, &magic));
+  RESTUNE_RETURN_IF_ERROR(header.GetU8(&version));
+  RESTUNE_RETURN_IF_ERROR(header.GetU8(&type));
+  RESTUNE_RETURN_IF_ERROR(header.GetBytes(2, &reserved));
+  RESTUNE_RETURN_IF_ERROR(header.GetU32(&payload_size));
+  RESTUNE_RETURN_IF_ERROR(header.GetU32(&expected_crc));
+  if (magic != std::string_view(kWireMagic, 4)) {
     failed_ = Status::InvalidArgument("frame: bad magic");
     return failed_;
   }
-  if (static_cast<uint8_t>(hdr[4]) != kWireVersion) {
-    failed_ = Status::NotImplemented(
-        "frame: unsupported wire version " +
-        std::to_string(static_cast<unsigned>(static_cast<uint8_t>(hdr[4]))));
+  if (version != kWireVersion) {
+    failed_ = Status::NotImplemented("frame: unsupported wire version " +
+                                     std::to_string(version));
     return failed_;
   }
-  if (hdr[6] != 0 || hdr[7] != 0) {
+  if (reserved != std::string_view("\0\0", 2)) {
     failed_ = Status::InvalidArgument("frame: nonzero reserved bytes");
     return failed_;
   }
-  const uint32_t payload_size = GetU32Le(hdr + 8);
   if (payload_size > max_payload_) {
     failed_ = Status::OutOfRange(
         "frame: payload of " + std::to_string(payload_size) +
@@ -87,12 +56,11 @@ Result<bool> FrameDecoder::Next(Frame* frame) {
   if (buffer_.size() < kFrameHeaderBytes + payload_size) return false;
   const std::string_view payload(buffer_.data() + kFrameHeaderBytes,
                                  payload_size);
-  const uint32_t expected_crc = GetU32Le(hdr + 12);
   if (Crc32(payload) != expected_crc) {
     failed_ = Status::IoError("frame: CRC mismatch");
     return failed_;
   }
-  frame->type = static_cast<uint8_t>(hdr[5]);
+  frame->type = type;
   frame->payload.assign(payload.data(), payload.size());
   buffer_.erase(0, kFrameHeaderBytes + payload_size);
   return true;

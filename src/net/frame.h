@@ -19,7 +19,7 @@
 ///     5       1     message type (opaque to this layer)
 ///     6       2     reserved, must be 0
 ///     8       4     payload length, little-endian uint32
-///     12      4     CRC-32 (IEEE, reflected) of the payload
+///     12      4     CRC-32 (common/byte_codec.h) of the payload
 ///     16      n     payload
 ///
 /// The decoder is incremental (feed arbitrary byte chunks, pull complete
@@ -41,9 +41,6 @@ inline constexpr size_t kFrameHeaderBytes = 16;
 /// KiB) while bounding what one malicious length field can make the
 /// server buffer.
 inline constexpr size_t kDefaultMaxFramePayload = 16u << 20;
-
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
-uint32_t Crc32(std::string_view data);
 
 /// One decoded frame.
 struct Frame {

@@ -1,22 +1,17 @@
 #include "service/restune_server.h"
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 
+#include "common/contracts.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
+#include "service/wire.h"
 
 namespace restune {
 namespace {
 
-bool AllFinite(const Vector& v) {
-  for (double x : v) {
-    if (!std::isfinite(x)) return false;
-  }
-  return true;
-}
+using internal::AllFinite;
 
 bool BitwiseEqual(const Vector& a, const Vector& b) {
   if (a.size() != b.size()) return false;
@@ -48,43 +43,35 @@ Status ValidateMetrics(const Observation& obs) {
   return Status::OK();
 }
 
-void WriteString(std::ostream* out, const std::string& s) {
-  *out << s.size() << ' ' << s << '\n';
+/// What a session needs to start, checked for submissions and for the
+/// sessions a checkpoint restores alike.
+Status ValidateSessionStart(size_t knob_dim, const Vector& default_theta,
+                            const Observation& default_observation,
+                            const Vector& meta_feature) {
+  if (knob_dim == 0) {
+    return Status::InvalidArgument("knob_dim must be positive");
+  }
+  if (default_theta.size() != knob_dim) {
+    return Status::InvalidArgument("default_theta dimension mismatch");
+  }
+  if (default_observation.theta.size() != knob_dim) {
+    return Status::InvalidArgument("default observation dimension mismatch");
+  }
+  // θ lives in the normalized knob box; a finite but huge coordinate
+  // (say 1e154) would otherwise overflow the surrogate into NaN and trip
+  // the acquisition optimizer's NaN contract at the first Recommend.
+  for (const Vector* theta : {&default_theta, &default_observation.theta}) {
+    for (double x : *theta) {
+      if (!(x >= 0.0 && x <= 1.0)) {
+        return Status::InvalidArgument("default theta must lie in [0, 1]");
+      }
+    }
+  }
+  if (!AllFinite(meta_feature)) {
+    return Status::InvalidArgument("meta_feature must be finite");
+  }
+  return ValidateMetrics(default_observation);
 }
-
-Status ReadString(std::istream* in, std::string* s) {
-  size_t n = 0;
-  if (!(*in >> n) || n > (1u << 20)) {
-    return Status::IoError("bad string in server checkpoint");
-  }
-  if (in->get() != ' ') {  // the single separator space
-    return Status::IoError("bad string separator in server checkpoint");
-  }
-  s->resize(n);
-  if (n > 0 && !in->read(s->data(), static_cast<std::streamsize>(n))) {
-    return Status::IoError("truncated string in server checkpoint");
-  }
-  return Status::OK();
-}
-
-Status ExpectTag(std::istream* in, const std::string& want) {
-  std::string tag;
-  if (!(*in >> tag)) {
-    return Status::IoError("server checkpoint truncated: expected '" + want +
-                           "'");
-  }
-  if (tag != want) {
-    return Status::IoError("server checkpoint corrupt: expected '" + want +
-                           "', found '" + tag + "'");
-  }
-  return Status::OK();
-}
-
-constexpr const char* kMagic = "restune-server-checkpoint";
-/// v2: sessions persist a totally ordered launch/completion log
-/// (EventRecord) instead of the v1 iteration event list; outstanding
-/// recommendations are re-derived from unmatched launches at load.
-constexpr int kVersion = 2;
 
 /// Hard ceiling on speculative batch width — a fleet larger than this is a
 /// client bug, and unbounded width would let one request spin the advisor
@@ -120,22 +107,9 @@ std::vector<BaseLearner> ResTuneServer::TrainSessionLearners(
 Result<uint64_t> ResTuneServer::StartSession(
     const TargetTaskSubmission& submission) {
   MutexLock lock(&mu_);
-  if (submission.knob_dim == 0) {
-    return Status::InvalidArgument("knob_dim must be positive");
-  }
-  if (submission.default_theta.size() != submission.knob_dim) {
-    return Status::InvalidArgument("default_theta dimension mismatch");
-  }
-  if (submission.default_observation.theta.size() != submission.knob_dim) {
-    return Status::InvalidArgument("default observation dimension mismatch");
-  }
-  if (!AllFinite(submission.default_theta)) {
-    return Status::InvalidArgument("default_theta must be finite");
-  }
-  if (!AllFinite(submission.meta_feature)) {
-    return Status::InvalidArgument("meta_feature must be finite");
-  }
-  RESTUNE_RETURN_IF_ERROR(ValidateMetrics(submission.default_observation));
+  RESTUNE_RETURN_IF_ERROR(ValidateSessionStart(
+      submission.knob_dim, submission.default_theta,
+      submission.default_observation, submission.meta_feature));
 
   Session session;
   session.task_name = submission.task_name;
@@ -420,66 +394,53 @@ void ResTuneServer::MaybeAutoCheckpoint() {
   }
 }
 
-Status ResTuneServer::SaveCheckpoint(std::ostream* out) const {
-  MutexLock lock(&mu_);
-  return SaveCheckpointLocked(out);
-}
-
-Status ResTuneServer::SaveCheckpointLocked(std::ostream* out) const {
-  out->precision(17);  // exact double round-trip
-  *out << kMagic << ' ' << kVersion << '\n';
-  *out << "next_id " << next_session_id_ << '\n';
-
-  *out << "tasks " << repository_.num_tasks() << '\n';
+std::string ResTuneServer::EncodeCheckpointLocked() const {
+  ByteWriter out;
+  out.PutU64(next_session_id_);
+  out.PutU32(static_cast<uint32_t>(repository_.num_tasks()));
   for (const TuningTask& task : repository_.tasks()) {
-    *out << "task\n";
-    WriteString(out, task.name);
-    WriteString(out, task.hardware);
-    WriteString(out, task.workload);
-    *out << "meta ";
-    WriteVector(out, task.meta_feature);
-    *out << "obs " << task.observations.size() << '\n';
-    for (const Observation& obs : task.observations) {
-      WriteObservation(out, obs);
-    }
+    WriteTuningTask(&out, task);
   }
-
-  *out << "finished " << finished_.size() << '\n';
-  for (const auto& [id, summary] : finished_) {
-    *out << "summary " << id << ' ' << summary.iterations << ' '
-         << summary.best_feasible_res << ' '
-         << (summary.archived_to_repository ? 1 : 0) << '\n';
-    WriteVector(out, summary.best_theta);
-  }
-
-  *out << "sessions " << sessions_.size() << '\n';
+  out.PutU32(static_cast<uint32_t>(finished_.size()));
+  for (const auto& [id, summary] : finished_) WriteSummary(&out, summary);
+  out.PutU32(static_cast<uint32_t>(sessions_.size()));
   for (const auto& [id, session] : sessions_) {
-    *out << "session " << id << ' ' << session.knob_dim << ' '
-         << session.iteration << ' ' << session.repository_snapshot << ' '
-         << (session.has_feasible ? 1 : 0) << '\n';
-    WriteString(out, session.task_name);
-    *out << "meta ";
-    WriteVector(out, session.meta_feature);
-    *out << "sla " << session.sla.min_tps << ' ' << session.sla.max_lat
-         << '\n';
-    *out << "default_theta ";
-    WriteVector(out, session.default_theta);
-    *out << "default_obs\n";
-    WriteObservation(out, session.default_observation);
+    out.PutU64(id);
+    out.PutU64(session.knob_dim);
+    out.PutI64(session.iteration);
+    out.PutU64(session.repository_snapshot);
+    out.PutBool(session.has_feasible);
+    out.PutString(session.task_name);
+    out.PutVector(session.meta_feature);
+    WriteSlaConstraints(&out, session.sla);
+    out.PutVector(session.default_theta);
+    WriteObservation(&out, session.default_observation);
     // The log IS the durable session: outstanding recommendations are the
     // launches without a matching completion and are re-derived at load.
-    *out << "log " << session.log.size() << '\n';
-    for (const EventRecord& event : session.log) {
-      WriteEventRecord(out, event);
-    }
+    out.PutU32(static_cast<uint32_t>(session.log.size()));
+    for (const EventRecord& event : session.log) WriteEventRecord(&out, event);
   }
-  *out << "end\n";
-  if (!out->good()) return Status::IoError("server checkpoint write failed");
-  return Status::OK();
+  return out.Take();
+}
+
+Status ResTuneServer::SaveCheckpoint(std::ostream* out) const {
+  std::string payload;
+  {
+    MutexLock lock(&mu_);
+    payload = EncodeCheckpointLocked();
+  }
+  return WriteSealed(FileKind::kServerCheckpoint, payload, out);
 }
 
 Result<ResTuneServer::Session> ResTuneServer::RebuildSession(
     Session blueprint) const {
+  RESTUNE_RETURN_IF_ERROR(ValidateSessionStart(
+      blueprint.knob_dim, blueprint.default_theta,
+      blueprint.default_observation, blueprint.meta_feature));
+  if (blueprint.repository_snapshot > repository_.num_tasks()) {
+    return Status::FailedPrecondition(
+        "server checkpoint session trained on more tasks than it stores");
+  }
   Session session = std::move(blueprint);
   session.advisor = std::make_unique<ResTuneAdvisor>(
       session.knob_dim, session.default_theta,
@@ -501,8 +462,8 @@ Result<ResTuneServer::Session> ResTuneServer::RebuildSession(
 
   // Replay the totally ordered launch/completion log through the fresh
   // advisor. Launches re-run the (pending-penalized) suggestion and must
-  // match the recorded θ bitwise — the checkpoint stores doubles at
-  // precision 17, so any mismatch means the server was reconstructed with
+  // match the recorded θ bitwise — the checkpoint stores doubles by bit
+  // pattern, so any mismatch means the server was reconstructed with
   // different advisor options or a different repository and continuing
   // would silently fork every session. Completions feed the advisor in the
   // same out-of-order arrival sequence the original server saw.
@@ -568,6 +529,12 @@ Result<ResTuneServer::Session> ResTuneServer::RebuildSession(
       RESTUNE_RETURN_IF_ERROR(
           session.advisor->ObserveFailure(pending->second, fault));
     } else {
+      if (event.observation.theta.size() != session.knob_dim) {
+        return Status::FailedPrecondition(
+            "server checkpoint completion " + std::to_string(iteration) +
+            " has a theta of the wrong dimension");
+      }
+      RESTUNE_RETURN_IF_ERROR(ValidateMetrics(event.observation));
       RESTUNE_RETURN_IF_ERROR(session.advisor->Observe(event.observation));
       session.observations.push_back(event.observation);
       if (session.sla.IsFeasible(event.observation) &&
@@ -602,65 +569,33 @@ Result<ResTuneServer::Session> ResTuneServer::RebuildSession(
 }
 
 Status ResTuneServer::LoadCheckpoint(std::istream* in) {
-  MutexLock lock(&mu_);
-  std::string magic;
-  int version = 0;
-  if (!(*in >> magic >> version) || magic != kMagic) {
-    return Status::IoError("not a restune server checkpoint");
-  }
-  if (version != kVersion) {
-    return Status::NotImplemented("unsupported server checkpoint version " +
-                                  std::to_string(version));
-  }
-  uint64_t next_id = 1;
-  RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "next_id"));
-  if (!(*in >> next_id)) {
-    return Status::IoError("bad next_id in server checkpoint");
-  }
+  RESTUNE_ASSIGN_OR_RETURN(const std::string payload,
+                           ReadSealed(FileKind::kServerCheckpoint, in));
+  return RestoreCheckpoint(payload);
+}
 
+Status ResTuneServer::RestoreCheckpoint(std::string_view payload) {
+  MutexLock lock(&mu_);
+  ByteReader in(payload);
+  uint64_t next_id = 1;
+  RESTUNE_RETURN_IF_ERROR(in.GetU64(&next_id));
+
+  // Counts are checked against the smallest encoding of their element: a
+  // task (20 bytes) and a summary (29).
   DataRepository repository;
-  RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "tasks"));
-  size_t num_tasks = 0;
-  if (!(*in >> num_tasks) || num_tasks > (1u << 20)) {
-    return Status::IoError("bad task count in server checkpoint");
-  }
-  for (size_t i = 0; i < num_tasks; ++i) {
-    RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "task"));
+  uint32_t count = 0;
+  RESTUNE_RETURN_IF_ERROR(in.GetCount(&count, 20));
+  for (uint32_t i = 0; i < count; ++i) {
     TuningTask task;
-    RESTUNE_RETURN_IF_ERROR(ReadString(in, &task.name));
-    RESTUNE_RETURN_IF_ERROR(ReadString(in, &task.hardware));
-    RESTUNE_RETURN_IF_ERROR(ReadString(in, &task.workload));
-    RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "meta"));
-    RESTUNE_RETURN_IF_ERROR(ReadVector(in, &task.meta_feature));
-    RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "obs"));
-    size_t num_obs = 0;
-    if (!(*in >> num_obs) || num_obs > (1u << 24)) {
-      return Status::IoError("bad observation count in server checkpoint");
-    }
-    task.observations.resize(num_obs);
-    for (Observation& obs : task.observations) {
-      RESTUNE_RETURN_IF_ERROR(ReadObservation(in, &obs));
-    }
+    RESTUNE_RETURN_IF_ERROR(ReadTuningTask(&in, &task));
     RESTUNE_RETURN_IF_ERROR(repository.AddTask(std::move(task)));
   }
-
   std::map<uint64_t, SessionSummary> finished;
-  RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "finished"));
-  size_t num_finished = 0;
-  if (!(*in >> num_finished) || num_finished > (1u << 24)) {
-    return Status::IoError("bad finished count in server checkpoint");
-  }
-  for (size_t i = 0; i < num_finished; ++i) {
-    RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "summary"));
+  RESTUNE_RETURN_IF_ERROR(in.GetCount(&count, 29));
+  for (uint32_t i = 0; i < count; ++i) {
     SessionSummary summary;
-    int archived = 0;
-    if (!(*in >> summary.session_id >> summary.iterations >>
-          summary.best_feasible_res >> archived)) {
-      return Status::IoError("bad summary in server checkpoint");
-    }
-    summary.archived_to_repository = archived != 0;
-    RESTUNE_RETURN_IF_ERROR(ReadVector(in, &summary.best_theta));
-    finished.emplace(summary.session_id, summary);
+    RESTUNE_RETURN_IF_ERROR(ReadSummary(&in, &summary));
+    finished.emplace(summary.session_id, std::move(summary));
   }
 
   // Sessions need the restored repository for base-learner training, so
@@ -670,7 +605,7 @@ Status ResTuneServer::LoadCheckpoint(std::istream* in) {
   repository_ = std::move(repository);
 
   std::map<uint64_t, Session> sessions;
-  const Status status = RestoreSessions(in, &sessions);
+  const Status status = RestoreSessions(&in, &sessions);
   if (!status.ok()) {
     repository_ = std::move(previous_repository);  // leave the server as-was
     return status;
@@ -681,54 +616,46 @@ Status ResTuneServer::LoadCheckpoint(std::istream* in) {
   return Status::OK();
 }
 
-Status ResTuneServer::RestoreSessions(std::istream* in,
+Status ResTuneServer::RestoreSessions(ByteReader* in,
                                       std::map<uint64_t, Session>* sessions) {
-  // A member rather than a lambda inside LoadCheckpoint: the thread-safety
-  // analysis treats a lambda body as a separate function, so the caller's
-  // lock would be invisible and every RebuildSession call would warn.
-  RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "sessions"));
-  size_t num_sessions = 0;
-  if (!(*in >> num_sessions) || num_sessions > (1u << 20)) {
-    return Status::IoError("bad session count in server checkpoint");
-  }
-  for (size_t i = 0; i < num_sessions; ++i) {
-    RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "session"));
+  // A member rather than a lambda inside RestoreCheckpoint: the
+  // thread-safety analysis treats a lambda body as a separate function, so
+  // the caller's lock would be invisible and every RebuildSession call
+  // would warn. Counts are checked against the smallest session (97
+  // bytes) and event record (16).
+  uint32_t count = 0;
+  RESTUNE_RETURN_IF_ERROR(in->GetCount(&count, 97));
+  for (uint32_t i = 0; i < count; ++i) {
     Session blueprint;
     uint64_t id = 0;
-    int has_feasible = 0;
-    if (!(*in >> id >> blueprint.knob_dim >> blueprint.iteration >>
-          blueprint.repository_snapshot >> has_feasible)) {
-      return Status::IoError("bad session header in server checkpoint");
-    }
-    blueprint.has_feasible = has_feasible != 0;
-    RESTUNE_RETURN_IF_ERROR(ReadString(in, &blueprint.task_name));
-    RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "meta"));
-    RESTUNE_RETURN_IF_ERROR(ReadVector(in, &blueprint.meta_feature));
-    RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "sla"));
-    if (!(*in >> blueprint.sla.min_tps >> blueprint.sla.max_lat)) {
-      return Status::IoError("bad sla in server checkpoint");
-    }
-    RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "default_theta"));
-    RESTUNE_RETURN_IF_ERROR(ReadVector(in, &blueprint.default_theta));
-    RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "default_obs"));
+    uint64_t knob_dim = 0;
+    int64_t iteration = 0;
+    uint64_t repository_snapshot = 0;
+    RESTUNE_RETURN_IF_ERROR(in->GetU64(&id));
+    RESTUNE_RETURN_IF_ERROR(in->GetU64(&knob_dim));
+    RESTUNE_RETURN_IF_ERROR(in->GetI64(&iteration));
+    RESTUNE_RETURN_IF_ERROR(in->GetU64(&repository_snapshot));
+    blueprint.knob_dim = static_cast<size_t>(knob_dim);
+    blueprint.iteration = static_cast<int>(iteration);
+    blueprint.repository_snapshot = static_cast<size_t>(repository_snapshot);
+    RESTUNE_RETURN_IF_ERROR(in->GetBool(&blueprint.has_feasible));
+    RESTUNE_RETURN_IF_ERROR(in->GetString(&blueprint.task_name));
+    RESTUNE_RETURN_IF_ERROR(in->GetVector(&blueprint.meta_feature));
+    RESTUNE_RETURN_IF_ERROR(ReadSlaConstraints(in, &blueprint.sla));
+    RESTUNE_RETURN_IF_ERROR(in->GetVector(&blueprint.default_theta));
     RESTUNE_RETURN_IF_ERROR(
         ReadObservation(in, &blueprint.default_observation));
-    RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "log"));
-    size_t num_events = 0;
-    if (!(*in >> num_events) || num_events > (1u << 24)) {
-      return Status::IoError("bad event count in server checkpoint");
-    }
-    blueprint.log.reserve(num_events);
-    for (size_t e = 0; e < num_events; ++e) {
-      EventRecord event;
+    uint32_t num_events = 0;
+    RESTUNE_RETURN_IF_ERROR(in->GetCount(&num_events, 16));
+    blueprint.log.resize(num_events);
+    for (EventRecord& event : blueprint.log) {
       RESTUNE_RETURN_IF_ERROR(ReadEventRecord(in, &event));
-      blueprint.log.push_back(std::move(event));
     }
     RESTUNE_ASSIGN_OR_RETURN(Session session,
                              RebuildSession(std::move(blueprint)));
     sessions->emplace(id, std::move(session));
   }
-  return ExpectTag(in, "end");
+  return in->ExpectEnd();
 }
 
 Status ResTuneServer::SaveCheckpointFile(const std::string& path) const {
@@ -737,38 +664,15 @@ Status ResTuneServer::SaveCheckpointFile(const std::string& path) const {
 }
 
 Status ResTuneServer::SaveCheckpointFileLocked(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  Status write_status = Status::OK();
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return Status::NotFound("cannot open '" + tmp + "' for write");
-    write_status = SaveCheckpointLocked(&out);
-    if (write_status.ok()) {
-      out.flush();
-      if (!out.good()) {
-        write_status = Status::IoError("write to '" + tmp + "' failed");
-      }
-    }
-  }
-  // Never leave a half-written temp file behind on failure; a stale .tmp
-  // from a crashed save must not shadow or outlive the real checkpoint.
-  if (!write_status.ok()) {
-    std::remove(tmp.c_str());
-    return write_status;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IoError("rename '" + tmp + "' -> '" + path + "' failed");
-  }
-  return Status::OK();
+  return SaveSealedFile(path, FileKind::kServerCheckpoint,
+                        EncodeCheckpointLocked());
 }
 
 Status ResTuneServer::LoadCheckpointFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::NotFound("cannot open server checkpoint '" + path + "'");
-  }
-  return LoadCheckpoint(&in);
+  RESTUNE_ASSIGN_OR_RETURN(
+      const std::string payload,
+      LoadSealedFile(path, FileKind::kServerCheckpoint));
+  return RestoreCheckpoint(payload);
 }
 
 std::string ResTuneServer::MetricsText() const {

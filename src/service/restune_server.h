@@ -6,7 +6,9 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 
+#include "common/byte_codec.h"
 #include "common/mutex.h"
 #include "common/result.h"
 #include "common/thread_annotations.h"
@@ -149,6 +151,8 @@ class ResTuneServer {
   /// event logs, finished summaries). Advisor internals are not written;
   /// `LoadCheckpoint` rebuilds each advisor by replaying its event log with
   /// bitwise verification against the recorded recommendations.
+  /// The bytes are one sealed FileKind::kServerCheckpoint file
+  /// (common/byte_codec.h); anything else is rejected with a typed error.
   Status SaveCheckpoint(std::ostream* out) const EXCLUDES(mu_);
   Status LoadCheckpoint(std::istream* in) EXCLUDES(mu_);
 
@@ -204,18 +208,20 @@ class ResTuneServer {
                                                  Session* session)
       REQUIRES(mu_);
   void MaybeAutoCheckpoint() REQUIRES(mu_);
-  /// Lock-held cores of the checkpoint writers. MaybeAutoCheckpoint runs
+  /// Checkpoint payload of the current state. MaybeAutoCheckpoint runs
   /// under mu_ and must not re-enter the public SaveCheckpointFile (that
-  /// would self-deadlock on the non-reentrant mutex), so the public
-  /// entry points lock and delegate here.
-  Status SaveCheckpointLocked(std::ostream* out) const REQUIRES(mu_);
+  /// would self-deadlock on the non-reentrant mutex), so the public entry
+  /// points lock and delegate here.
+  std::string EncodeCheckpointLocked() const REQUIRES(mu_);
   Status SaveCheckpointFileLocked(const std::string& path) const
       REQUIRES(mu_);
-  /// Parses and replays the sessions section of a checkpoint into
-  /// `sessions`. A member (not a lambda inside LoadCheckpoint) because the
-  /// thread-safety analysis treats lambda bodies as separate functions and
-  /// would not see the caller's lock across the capture boundary.
-  Status RestoreSessions(std::istream* in,
+  /// Decodes a checkpoint payload and replaces the server state with it.
+  Status RestoreCheckpoint(std::string_view payload) EXCLUDES(mu_);
+  /// Decodes and replays the sessions section of a checkpoint into
+  /// `sessions`. A member (not a lambda inside RestoreCheckpoint) because
+  /// the thread-safety analysis treats lambda bodies as separate functions
+  /// and would not see the caller's lock across the capture boundary.
+  Status RestoreSessions(ByteReader* in,
                          std::map<uint64_t, Session>* sessions)
       REQUIRES(mu_);
 

@@ -1,159 +1,23 @@
 #include "service/wire.h"
 
-#include <cstring>
-
 namespace restune {
 
 namespace {
 
-constexpr uint8_t kMaxFaultKind = static_cast<uint8_t>(FaultKind::kSlaViolation);
 constexpr uint8_t kMaxStatusCode = static_cast<uint8_t>(StatusCode::kAborted);
 
 }  // namespace
 
-void WireWriter::PutU8(uint8_t value) {
-  out_.push_back(static_cast<char>(value));
-}
-
-void WireWriter::PutU32(uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out_.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-  }
-}
-
-void WireWriter::PutU64(uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out_.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-  }
-}
-
-void WireWriter::PutI64(int64_t value) {
-  PutU64(static_cast<uint64_t>(value));
-}
-
-void WireWriter::PutF64(double value) {
-  uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  PutU64(bits);
-}
-
-void WireWriter::PutString(std::string_view value) {
-  PutU32(static_cast<uint32_t>(value.size()));
-  out_.append(value.data(), value.size());
-}
-
-void WireWriter::PutVector(const Vector& value) {
-  PutU32(static_cast<uint32_t>(value.size()));
-  for (double v : value) PutF64(v);
-}
-
-Status WireReader::Need(size_t n) const {
-  if (pos_ + n > data_.size()) {
-    return Status::InvalidArgument("wire: payload truncated");
-  }
-  return Status::OK();
-}
-
-Status WireReader::GetU8(uint8_t* value) {
-  RESTUNE_RETURN_IF_ERROR(Need(1));
-  *value = static_cast<uint8_t>(data_[pos_++]);
-  return Status::OK();
-}
-
-Status WireReader::GetU32(uint32_t* value) {
-  RESTUNE_RETURN_IF_ERROR(Need(4));
-  uint32_t out = 0;
-  for (int i = 0; i < 4; ++i) {
-    out |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-  }
-  pos_ += 4;
-  *value = out;
-  return Status::OK();
-}
-
-Status WireReader::GetU64(uint64_t* value) {
-  RESTUNE_RETURN_IF_ERROR(Need(8));
-  uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) {
-    out |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-  }
-  pos_ += 8;
-  *value = out;
-  return Status::OK();
-}
-
-Status WireReader::GetI64(int64_t* value) {
-  uint64_t bits = 0;
-  RESTUNE_RETURN_IF_ERROR(GetU64(&bits));
-  *value = static_cast<int64_t>(bits);
-  return Status::OK();
-}
-
-Status WireReader::GetF64(double* value) {
-  uint64_t bits = 0;
-  RESTUNE_RETURN_IF_ERROR(GetU64(&bits));
-  std::memcpy(value, &bits, sizeof(*value));
-  return Status::OK();
-}
-
-Status WireReader::GetString(std::string* value) {
-  uint32_t len = 0;
-  RESTUNE_RETURN_IF_ERROR(GetU32(&len));
-  // The length check against actual remaining bytes means a hostile
-  // length field can never drive allocation past the payload size.
-  RESTUNE_RETURN_IF_ERROR(Need(len));
-  value->assign(data_.data() + pos_, len);
-  pos_ += len;
-  return Status::OK();
-}
-
-Status WireReader::GetVector(Vector* value) {
-  uint32_t count = 0;
-  RESTUNE_RETURN_IF_ERROR(GetU32(&count));
-  RESTUNE_RETURN_IF_ERROR(Need(static_cast<size_t>(count) * 8));
-  value->resize(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    RESTUNE_RETURN_IF_ERROR(GetF64(&(*value)[i]));
-  }
-  return Status::OK();
-}
-
-Status WireReader::ExpectEnd() const {
-  if (pos_ != data_.size()) {
-    return Status::InvalidArgument("wire: trailing bytes after message");
-  }
-  return Status::OK();
-}
-
-void WriteObservationWire(WireWriter* writer, const Observation& obs) {
-  writer->PutVector(obs.theta);
-  writer->PutF64(obs.res);
-  writer->PutF64(obs.tps);
-  writer->PutF64(obs.lat);
-  writer->PutVector(obs.internals);
-}
-
-Status ReadObservationWire(WireReader* reader, Observation* obs) {
-  RESTUNE_RETURN_IF_ERROR(reader->GetVector(&obs->theta));
-  RESTUNE_RETURN_IF_ERROR(reader->GetF64(&obs->res));
-  RESTUNE_RETURN_IF_ERROR(reader->GetF64(&obs->tps));
-  RESTUNE_RETURN_IF_ERROR(reader->GetF64(&obs->lat));
-  RESTUNE_RETURN_IF_ERROR(reader->GetVector(&obs->internals));
-  return Status::OK();
-}
-
-void WriteSubmission(WireWriter* writer, const TargetTaskSubmission& sub) {
+void WriteSubmission(ByteWriter* writer, const TargetTaskSubmission& sub) {
   writer->PutString(sub.task_name);
   writer->PutVector(sub.meta_feature);
   writer->PutU64(static_cast<uint64_t>(sub.knob_dim));
   writer->PutVector(sub.default_theta);
-  WriteObservationWire(writer, sub.default_observation);
+  WriteObservation(writer, sub.default_observation);
   writer->PutString(sub.resource);
 }
 
-Status ReadSubmission(WireReader* reader, TargetTaskSubmission* sub) {
+Status ReadSubmission(ByteReader* reader, TargetTaskSubmission* sub) {
   RESTUNE_RETURN_IF_ERROR(reader->GetString(&sub->task_name));
   RESTUNE_RETURN_IF_ERROR(reader->GetVector(&sub->meta_feature));
   uint64_t knob_dim = 0;
@@ -161,18 +25,18 @@ Status ReadSubmission(WireReader* reader, TargetTaskSubmission* sub) {
   sub->knob_dim = static_cast<size_t>(knob_dim);
   RESTUNE_RETURN_IF_ERROR(reader->GetVector(&sub->default_theta));
   RESTUNE_RETURN_IF_ERROR(
-      ReadObservationWire(reader, &sub->default_observation));
+      ReadObservation(reader, &sub->default_observation));
   RESTUNE_RETURN_IF_ERROR(reader->GetString(&sub->resource));
   return Status::OK();
 }
 
-void WriteRecommendation(WireWriter* writer, const KnobRecommendation& rec) {
+void WriteRecommendation(ByteWriter* writer, const KnobRecommendation& rec) {
   writer->PutU64(rec.session_id);
   writer->PutI64(rec.iteration);
   writer->PutVector(rec.theta);
 }
 
-Status ReadRecommendation(WireReader* reader, KnobRecommendation* rec) {
+Status ReadRecommendation(ByteReader* reader, KnobRecommendation* rec) {
   RESTUNE_RETURN_IF_ERROR(reader->GetU64(&rec->session_id));
   int64_t iteration = 0;
   RESTUNE_RETURN_IF_ERROR(reader->GetI64(&iteration));
@@ -181,56 +45,43 @@ Status ReadRecommendation(WireReader* reader, KnobRecommendation* rec) {
   return Status::OK();
 }
 
-void WriteReport(WireWriter* writer, const EvaluationReport& report) {
+void WriteReport(ByteWriter* writer, const EvaluationReport& report) {
   writer->PutU64(report.session_id);
   writer->PutI64(report.iteration);
-  WriteObservationWire(writer, report.observation);
+  WriteObservation(writer, report.observation);
   writer->PutU8(static_cast<uint8_t>(report.fault));
 }
 
-Status ReadReport(WireReader* reader, EvaluationReport* report) {
+Status ReadReport(ByteReader* reader, EvaluationReport* report) {
   RESTUNE_RETURN_IF_ERROR(reader->GetU64(&report->session_id));
   int64_t iteration = 0;
   RESTUNE_RETURN_IF_ERROR(reader->GetI64(&iteration));
   report->iteration = static_cast<int>(iteration);
-  RESTUNE_RETURN_IF_ERROR(ReadObservationWire(reader, &report->observation));
-  uint8_t fault = 0;
-  RESTUNE_RETURN_IF_ERROR(reader->GetU8(&fault));
-  if (fault > kMaxFaultKind) {
-    return Status::InvalidArgument("wire: unknown FaultKind " +
-                                   std::to_string(fault));
-  }
-  report->fault = static_cast<FaultKind>(fault);
-  return Status::OK();
+  RESTUNE_RETURN_IF_ERROR(ReadObservation(reader, &report->observation));
+  return reader->GetEnum(&report->fault, FaultKind::kSlaViolation);
 }
 
-void WriteSummary(WireWriter* writer, const SessionSummary& summary) {
+void WriteSummary(ByteWriter* writer, const SessionSummary& summary) {
   writer->PutU64(summary.session_id);
   writer->PutI64(summary.iterations);
   writer->PutVector(summary.best_theta);
   writer->PutF64(summary.best_feasible_res);
-  writer->PutU8(summary.archived_to_repository ? 1 : 0);
+  writer->PutBool(summary.archived_to_repository);
 }
 
-Status ReadSummary(WireReader* reader, SessionSummary* summary) {
+Status ReadSummary(ByteReader* reader, SessionSummary* summary) {
   RESTUNE_RETURN_IF_ERROR(reader->GetU64(&summary->session_id));
   int64_t iterations = 0;
   RESTUNE_RETURN_IF_ERROR(reader->GetI64(&iterations));
   summary->iterations = static_cast<int>(iterations);
   RESTUNE_RETURN_IF_ERROR(reader->GetVector(&summary->best_theta));
   RESTUNE_RETURN_IF_ERROR(reader->GetF64(&summary->best_feasible_res));
-  uint8_t archived = 0;
-  RESTUNE_RETURN_IF_ERROR(reader->GetU8(&archived));
-  if (archived > 1) {
-    return Status::InvalidArgument("wire: non-boolean archived flag");
-  }
-  summary->archived_to_repository = archived != 0;
-  return Status::OK();
+  return reader->GetBool(&summary->archived_to_repository);
 }
 
 std::string EncodeStartSessionRequest(uint64_t request_id,
                                       const TargetTaskSubmission& sub) {
-  WireWriter writer;
+  ByteWriter writer;
   writer.PutU64(request_id);
   WriteSubmission(&writer, sub);
   return writer.Take();
@@ -239,7 +90,7 @@ std::string EncodeStartSessionRequest(uint64_t request_id,
 Status DecodeStartSessionRequest(std::string_view payload,
                                  uint64_t* request_id,
                                  TargetTaskSubmission* sub) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   RESTUNE_RETURN_IF_ERROR(reader.GetU64(request_id));
   RESTUNE_RETURN_IF_ERROR(ReadSubmission(&reader, sub));
   return reader.ExpectEnd();
@@ -247,7 +98,7 @@ Status DecodeStartSessionRequest(std::string_view payload,
 
 std::string EncodeStartSessionResponse(uint64_t request_id,
                                        uint64_t session_id) {
-  WireWriter writer;
+  ByteWriter writer;
   writer.PutU64(request_id);
   writer.PutU64(session_id);
   return writer.Take();
@@ -255,7 +106,7 @@ std::string EncodeStartSessionResponse(uint64_t request_id,
 
 Status DecodeStartSessionResponse(std::string_view payload,
                                   uint64_t* request_id, uint64_t* session_id) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   RESTUNE_RETURN_IF_ERROR(reader.GetU64(request_id));
   RESTUNE_RETURN_IF_ERROR(reader.GetU64(session_id));
   return reader.ExpectEnd();
@@ -263,7 +114,7 @@ Status DecodeStartSessionResponse(std::string_view payload,
 
 std::string EncodeRecommendRequest(uint64_t request_id, uint64_t session_id,
                                    uint32_t batch_width) {
-  WireWriter writer;
+  ByteWriter writer;
   writer.PutU64(request_id);
   writer.PutU64(session_id);
   writer.PutU32(batch_width);
@@ -272,7 +123,7 @@ std::string EncodeRecommendRequest(uint64_t request_id, uint64_t session_id,
 
 Status DecodeRecommendRequest(std::string_view payload, uint64_t* request_id,
                               uint64_t* session_id, uint32_t* batch_width) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   RESTUNE_RETURN_IF_ERROR(reader.GetU64(request_id));
   RESTUNE_RETURN_IF_ERROR(reader.GetU64(session_id));
   RESTUNE_RETURN_IF_ERROR(reader.GetU32(batch_width));
@@ -281,7 +132,7 @@ Status DecodeRecommendRequest(std::string_view payload, uint64_t* request_id,
 
 std::string EncodeRecommendResponse(
     uint64_t request_id, const std::vector<KnobRecommendation>& recs) {
-  WireWriter writer;
+  ByteWriter writer;
   writer.PutU64(request_id);
   writer.PutU32(static_cast<uint32_t>(recs.size()));
   for (const auto& rec : recs) WriteRecommendation(&writer, rec);
@@ -290,11 +141,13 @@ std::string EncodeRecommendResponse(
 
 Status DecodeRecommendResponse(std::string_view payload, uint64_t* request_id,
                                std::vector<KnobRecommendation>* recs) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   RESTUNE_RETURN_IF_ERROR(reader.GetU64(request_id));
+  // session id, iteration and an empty theta: 20 bytes at least.
   uint32_t count = 0;
-  RESTUNE_RETURN_IF_ERROR(reader.GetU32(&count));
+  RESTUNE_RETURN_IF_ERROR(reader.GetCount(&count, 20));
   recs->clear();
+  recs->reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     KnobRecommendation rec;
     RESTUNE_RETURN_IF_ERROR(ReadRecommendation(&reader, &rec));
@@ -305,7 +158,7 @@ Status DecodeRecommendResponse(std::string_view payload, uint64_t* request_id,
 
 std::string EncodeReportEvaluationRequest(uint64_t request_id,
                                           const EvaluationReport& report) {
-  WireWriter writer;
+  ByteWriter writer;
   writer.PutU64(request_id);
   WriteReport(&writer, report);
   return writer.Take();
@@ -314,28 +167,28 @@ std::string EncodeReportEvaluationRequest(uint64_t request_id,
 Status DecodeReportEvaluationRequest(std::string_view payload,
                                      uint64_t* request_id,
                                      EvaluationReport* report) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   RESTUNE_RETURN_IF_ERROR(reader.GetU64(request_id));
   RESTUNE_RETURN_IF_ERROR(ReadReport(&reader, report));
   return reader.ExpectEnd();
 }
 
 std::string EncodeReportEvaluationResponse(uint64_t request_id) {
-  WireWriter writer;
+  ByteWriter writer;
   writer.PutU64(request_id);
   return writer.Take();
 }
 
 Status DecodeReportEvaluationResponse(std::string_view payload,
                                       uint64_t* request_id) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   RESTUNE_RETURN_IF_ERROR(reader.GetU64(request_id));
   return reader.ExpectEnd();
 }
 
 std::string EncodeFinishSessionRequest(uint64_t request_id,
                                        uint64_t session_id) {
-  WireWriter writer;
+  ByteWriter writer;
   writer.PutU64(request_id);
   writer.PutU64(session_id);
   return writer.Take();
@@ -343,7 +196,7 @@ std::string EncodeFinishSessionRequest(uint64_t request_id,
 
 Status DecodeFinishSessionRequest(std::string_view payload,
                                   uint64_t* request_id, uint64_t* session_id) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   RESTUNE_RETURN_IF_ERROR(reader.GetU64(request_id));
   RESTUNE_RETURN_IF_ERROR(reader.GetU64(session_id));
   return reader.ExpectEnd();
@@ -351,7 +204,7 @@ Status DecodeFinishSessionRequest(std::string_view payload,
 
 std::string EncodeFinishSessionResponse(uint64_t request_id,
                                         const SessionSummary& summary) {
-  WireWriter writer;
+  ByteWriter writer;
   writer.PutU64(request_id);
   WriteSummary(&writer, summary);
   return writer.Take();
@@ -360,26 +213,26 @@ std::string EncodeFinishSessionResponse(uint64_t request_id,
 Status DecodeFinishSessionResponse(std::string_view payload,
                                    uint64_t* request_id,
                                    SessionSummary* summary) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   RESTUNE_RETURN_IF_ERROR(reader.GetU64(request_id));
   RESTUNE_RETURN_IF_ERROR(ReadSummary(&reader, summary));
   return reader.ExpectEnd();
 }
 
 std::string EncodeMetricsRequest(uint64_t request_id) {
-  WireWriter writer;
+  ByteWriter writer;
   writer.PutU64(request_id);
   return writer.Take();
 }
 
 Status DecodeMetricsRequest(std::string_view payload, uint64_t* request_id) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   RESTUNE_RETURN_IF_ERROR(reader.GetU64(request_id));
   return reader.ExpectEnd();
 }
 
 std::string EncodeMetricsResponse(uint64_t request_id, std::string_view text) {
-  WireWriter writer;
+  ByteWriter writer;
   writer.PutU64(request_id);
   writer.PutString(text);
   return writer.Take();
@@ -387,14 +240,14 @@ std::string EncodeMetricsResponse(uint64_t request_id, std::string_view text) {
 
 Status DecodeMetricsResponse(std::string_view payload, uint64_t* request_id,
                              std::string* text) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   RESTUNE_RETURN_IF_ERROR(reader.GetU64(request_id));
   RESTUNE_RETURN_IF_ERROR(reader.GetString(text));
   return reader.ExpectEnd();
 }
 
 std::string EncodeErrorResponse(uint64_t request_id, const Status& status) {
-  WireWriter writer;
+  ByteWriter writer;
   writer.PutU64(request_id);
   writer.PutU8(static_cast<uint8_t>(status.code()));
   writer.PutString(status.message());
@@ -403,7 +256,7 @@ std::string EncodeErrorResponse(uint64_t request_id, const Status& status) {
 
 Status DecodeErrorResponse(std::string_view payload, uint64_t* request_id,
                            Status* decoded) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   RESTUNE_RETURN_IF_ERROR(reader.GetU64(request_id));
   uint8_t code = 0;
   RESTUNE_RETURN_IF_ERROR(reader.GetU8(&code));
@@ -419,7 +272,7 @@ Status DecodeErrorResponse(std::string_view payload, uint64_t* request_id,
 }
 
 Status PeekRequestId(std::string_view payload, uint64_t* request_id) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   return reader.GetU64(request_id);
 }
 

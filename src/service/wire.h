@@ -7,6 +7,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/byte_codec.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "gp/observation.h"
@@ -19,10 +20,9 @@
 /// stay transport-agnostic and the layering DAG stays common → net →
 /// service with no back-edge.
 ///
-/// Encoding rules: all integers little-endian fixed-width; `int` fields
-/// travel as two's-complement int64; doubles as their IEEE-754 bit
-/// pattern (bit-identical round-trip, NaN payloads included); strings and
-/// vectors length-prefixed with uint32. Every request and response
+/// Encoding rules are common/byte_codec.h's (the same codec writes every
+/// durable file); `int` fields travel as two's-complement int64,
+/// observations as gp/observation.h encodes them. Every request and response
 /// payload begins with a uint64 `request_id`, echoed verbatim by the
 /// server, which is what makes retries idempotent end-to-end: a client
 /// that re-sends a request after a lost response can match the replay.
@@ -49,60 +49,17 @@ enum class WireMessageType : uint8_t {
   kErrorResponse = 11,
 };
 
-/// Appends primitive values to a payload string.
-class WireWriter {
- public:
-  void PutU8(uint8_t value);
-  void PutU32(uint32_t value);
-  void PutU64(uint64_t value);
-  void PutI64(int64_t value);
-  void PutF64(double value);
-  void PutString(std::string_view value);
-  void PutVector(const Vector& value);
-
-  std::string Take() { return std::move(out_); }
-  const std::string& str() const { return out_; }
-
- private:
-  std::string out_;
-};
-
-/// Consumes primitive values from a payload; every read is bounds-checked
-/// and `ExpectEnd` rejects trailing bytes.
-class WireReader {
- public:
-  explicit WireReader(std::string_view payload) : data_(payload) {}
-
-  Status GetU8(uint8_t* value);
-  Status GetU32(uint32_t* value);
-  Status GetU64(uint64_t* value);
-  Status GetI64(int64_t* value);
-  Status GetF64(double* value);
-  Status GetString(std::string* value);
-  Status GetVector(Vector* value);
-
-  /// kInvalidArgument unless the payload was consumed exactly.
-  Status ExpectEnd() const;
-  size_t remaining() const { return data_.size() - pos_; }
-
- private:
-  Status Need(size_t n) const;
-  std::string_view data_;
-  size_t pos_ = 0;
-};
-
 /// Struct-level serializers, shared by requests and responses (and used
-/// directly by the bit-identity round-trip tests).
-void WriteObservationWire(WireWriter* writer, const Observation& obs);
-Status ReadObservationWire(WireReader* reader, Observation* obs);
-void WriteSubmission(WireWriter* writer, const TargetTaskSubmission& sub);
-Status ReadSubmission(WireReader* reader, TargetTaskSubmission* sub);
-void WriteRecommendation(WireWriter* writer, const KnobRecommendation& rec);
-Status ReadRecommendation(WireReader* reader, KnobRecommendation* rec);
-void WriteReport(WireWriter* writer, const EvaluationReport& report);
-Status ReadReport(WireReader* reader, EvaluationReport* report);
-void WriteSummary(WireWriter* writer, const SessionSummary& summary);
-Status ReadSummary(WireReader* reader, SessionSummary* summary);
+/// directly by the bit-identity round-trip tests). `WriteSummary` also
+/// writes the finished sessions of the server checkpoint.
+void WriteSubmission(ByteWriter* writer, const TargetTaskSubmission& sub);
+Status ReadSubmission(ByteReader* reader, TargetTaskSubmission* sub);
+void WriteRecommendation(ByteWriter* writer, const KnobRecommendation& rec);
+Status ReadRecommendation(ByteReader* reader, KnobRecommendation* rec);
+void WriteReport(ByteWriter* writer, const EvaluationReport& report);
+Status ReadReport(ByteReader* reader, EvaluationReport* report);
+void WriteSummary(ByteWriter* writer, const SessionSummary& summary);
+Status ReadSummary(ByteReader* reader, SessionSummary* summary);
 
 /// Message-level payload builders/parsers. Encode functions return the
 /// frame payload for the matching WireMessageType; decode functions parse

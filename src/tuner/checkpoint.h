@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/byte_codec.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "dbsim/fault_injector.h"
@@ -101,10 +102,12 @@ struct EventSessionCheckpoint {
   /// Observability counters at checkpoint time. Replay re-executes advisor
   /// work (inflating the live counters), so resume overwrites them with
   /// this snapshot once replay completes — a resumed run reports the same
-  /// totals as the uninterrupted one. Optional in the file format.
+  /// totals as the uninterrupted one. Empty when nothing was counted.
   obs::CounterSnapshot metrics;
 };
 
+/// Writes the checkpoint as one sealed FileKind::kEventCheckpoint file
+/// (common/byte_codec.h); loading rejects anything else with a typed error.
 Status SaveEventSessionCheckpoint(const EventSessionCheckpoint& checkpoint,
                                   std::ostream* out);
 Result<EventSessionCheckpoint> LoadEventSessionCheckpoint(std::istream* in);
@@ -117,17 +120,9 @@ Status SaveEventSessionCheckpointFile(const EventSessionCheckpoint& checkpoint,
 Result<EventSessionCheckpoint> LoadEventSessionCheckpointFile(
     const std::string& path);
 
-/// Shared low-level helpers (also used by the server checkpoint).
-void WriteRngState(std::ostream* out, const RngState& state);
-Status ReadRngState(std::istream* in, RngState* state);
-void WriteVector(std::ostream* out, const Vector& v);
-Status ReadVector(std::istream* in, Vector* v);
-void WriteObservation(std::ostream* out, const Observation& obs);
-Status ReadObservation(std::istream* in, Observation* obs);
-void WriteEventRecord(std::ostream* out, const EventRecord& record);
-Status ReadEventRecord(std::istream* in, EventRecord* record);
-void WriteInFlightRecord(std::ostream* out, const InFlightRecord& record);
-Status ReadInFlightRecord(std::istream* in, InFlightRecord* record);
+/// Record codec, shared with the server checkpoint's session logs.
+void WriteEventRecord(ByteWriter* out, const EventRecord& record);
+Status ReadEventRecord(ByteReader* in, EventRecord* record);
 
 }  // namespace restune
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -541,28 +542,131 @@ TEST(EventCheckpointTest, RoundTripsRecordsAndInFlight) {
   EXPECT_EQ(loaded->in_flight[0].attempts, 2);
 }
 
-TEST(EventCheckpointTest, RejectsCorruptStreams) {
-  std::stringstream wrong_magic("not-an-event-checkpoint 1\n");
-  EXPECT_FALSE(LoadEventSessionCheckpoint(&wrong_magic).ok());
-  std::stringstream wrong_version("restune-event-checkpoint 9\n");
-  EXPECT_FALSE(LoadEventSessionCheckpoint(&wrong_version).ok());
-  std::stringstream truncated("restune-event-checkpoint 1\nlaunched 3\n");
-  EXPECT_FALSE(LoadEventSessionCheckpoint(&truncated).ok());
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-/// Strips the process-global metrics snapshot from checkpoint text: the
-/// totals depend on everything else the test binary ran before, so two
-/// otherwise byte-identical runs legitimately differ there.
-std::string WithoutMetricsSection(const std::string& text) {
-  const size_t at = text.find("\nmetrics ");
-  return at == std::string::npos ? text : text.substr(0, at);
+bool SameBits(const Vector& a, const Vector& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
-std::string ReadFileOrEmpty(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+void ExpectSameObservationBits(const Observation& a, const Observation& b) {
+  EXPECT_TRUE(SameBits(a.theta, b.theta));
+  EXPECT_TRUE(SameBits(a.res, b.res));
+  EXPECT_TRUE(SameBits(a.tps, b.tps));
+  EXPECT_TRUE(SameBits(a.lat, b.lat));
+  EXPECT_TRUE(SameBits(a.internals, b.internals));
+}
+
+void ExpectSameRng(const RngState& a, const RngState& b) {
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(a.s[i], b.s[i]);
+  EXPECT_EQ(a.has_cached_gaussian, b.has_cached_gaussian);
+  EXPECT_TRUE(SameBits(a.cached_gaussian, b.cached_gaussian));
+}
+
+/// Every field of two checkpoints, doubles compared by bit pattern.
+void ExpectSameCheckpoint(const EventSessionCheckpoint& a,
+                          const EventSessionCheckpoint& b) {
+  EXPECT_EQ(a.launched, b.launched);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_TRUE(SameBits(a.clock_seconds, b.clock_seconds));
+  ExpectSameObservationBits(a.default_observation, b.default_observation);
+  EXPECT_TRUE(SameBits(a.sla.min_tps, b.sla.min_tps));
+  EXPECT_TRUE(SameBits(a.sla.max_lat, b.sla.max_lat));
+  ASSERT_EQ(a.records.size(), b.records.size());
+  for (size_t i = 0; i < a.records.size(); ++i) {
+    SCOPED_TRACE("record " + std::to_string(i));
+    const EventRecord& x = a.records[i];
+    const EventRecord& y = b.records[i];
+    EXPECT_EQ(x.kind, y.kind);
+    EXPECT_EQ(x.seq, y.seq);
+    EXPECT_TRUE(SameBits(x.theta, y.theta));
+    EXPECT_EQ(x.frozen, y.frozen);
+    EXPECT_EQ(x.mode, y.mode);
+    EXPECT_EQ(x.sla_violated, y.sla_violated);
+    EXPECT_EQ(x.failed, y.failed);
+    ExpectSameObservationBits(x.observation, y.observation);
+    EXPECT_EQ(x.fault, y.fault);
+    EXPECT_EQ(x.attempts, y.attempts);
+    EXPECT_TRUE(SameBits(x.backoff_seconds, y.backoff_seconds));
+    EXPECT_TRUE(SameBits(x.elapsed_seconds, y.elapsed_seconds));
+    EXPECT_EQ(x.watchdog_killed, y.watchdog_killed);
+    EXPECT_EQ(x.mode_after, y.mode_after);
+    EXPECT_EQ(x.sla_violated_after, y.sla_violated_after);
+  }
+  ASSERT_EQ(a.in_flight.size(), b.in_flight.size());
+  for (size_t i = 0; i < a.in_flight.size(); ++i) {
+    SCOPED_TRACE("in-flight " + std::to_string(i));
+    const InFlightRecord& x = a.in_flight[i];
+    const InFlightRecord& y = b.in_flight[i];
+    EXPECT_EQ(x.seq, y.seq);
+    EXPECT_TRUE(SameBits(x.delivery_seconds, y.delivery_seconds));
+    EXPECT_EQ(x.failed, y.failed);
+    ExpectSameObservationBits(x.observation, y.observation);
+    EXPECT_EQ(x.fault, y.fault);
+    EXPECT_EQ(x.attempts, y.attempts);
+    EXPECT_TRUE(SameBits(x.backoff_seconds, y.backoff_seconds));
+    EXPECT_TRUE(SameBits(x.elapsed_seconds, y.elapsed_seconds));
+    EXPECT_EQ(x.watchdog_killed, y.watchdog_killed);
+  }
+  EXPECT_EQ(a.simulator_state.num_evaluations,
+            b.simulator_state.num_evaluations);
+  EXPECT_TRUE(SameBits(a.simulator_state.simulated_seconds,
+                       b.simulator_state.simulated_seconds));
+  ExpectSameRng(a.simulator_state.rng, b.simulator_state.rng);
+  ExpectSameRng(a.simulator_state.fault_rng, b.simulator_state.fault_rng);
+  ExpectSameRng(a.supervisor_rng, b.supervisor_rng);
+  EXPECT_EQ(a.metrics, b.metrics);
+}
+
+/// A session killed mid-flight under a 20% fault mix (stalls, retries,
+/// watchdog kills, ladder transitions), read back from its checkpoint.
+EventSessionCheckpoint FaultyHaltedCheckpoint(const std::string& path) {
+  EventSessionOptions options;
+  options.max_iterations = 30;
+  options.max_in_flight = 4;
+  options.fault.checkpoint_path = path;
+  options.fault.checkpoint_period = 100;
+  options.halt_after_completions = 20;
+  DbInstanceSimulator sim = CaseStudySimulator(83, TwentyPercentFaults(29));
+  CboAdvisor advisor("cbo", 3, FastAdvisorOptions());
+  EventTuningSession session(&sim, &advisor, options);
+  EXPECT_TRUE(session.Run().ok());
+  EXPECT_TRUE(session.halted());
+  return LoadEventSessionCheckpointFile(path).value();
+}
+
+TEST(EventCheckpointTest, RestoresEveryRecordFieldBitIdentically) {
+  const std::string path = testing::TempDir() + "/event_forms.ckpt";
+  const EventSessionCheckpoint checkpoint = FaultyHaltedCheckpoint(path);
+  ASSERT_FALSE(checkpoint.in_flight.empty());
+  ASSERT_TRUE(std::any_of(checkpoint.records.begin(), checkpoint.records.end(),
+                          [](const EventRecord& r) { return r.failed; }));
+  ASSERT_TRUE(std::any_of(
+      checkpoint.records.begin(), checkpoint.records.end(),
+      [](const EventRecord& r) { return !r.observation.internals.empty(); }));
+
+  std::stringstream stream;
+  ASSERT_TRUE(SaveEventSessionCheckpoint(checkpoint, &stream).ok());
+  const auto loaded = LoadEventSessionCheckpoint(&stream);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectSameCheckpoint(checkpoint, *loaded);
+  std::remove(path.c_str());
+}
+
+/// The checkpoint file at `path` re-encoded without its process-global
+/// metrics snapshot: the totals depend on everything else the test binary
+/// ran before, so two otherwise byte-identical runs legitimately differ
+/// there. Empty when the file does not load.
+std::string BytesWithoutMetrics(const std::string& path) {
+  Result<EventSessionCheckpoint> loaded = LoadEventSessionCheckpointFile(path);
+  if (!loaded.ok()) return "";
+  EventSessionCheckpoint checkpoint = std::move(loaded).value();
+  checkpoint.metrics.clear();
+  std::stringstream out;
+  return SaveEventSessionCheckpoint(checkpoint, &out).ok() ? out.str() : "";
 }
 
 TEST_F(EventSessionTest, KillAndResumeMidFlightReplaysByteIdentical) {
@@ -649,12 +753,11 @@ TEST_F(EventSessionTest, KillAndResumeMidFlightReplaysByteIdentical) {
 
   // Byte-identical final checkpoints (modulo the process-global metrics
   // snapshot, whose absolute totals depend on test execution order).
-  const std::string control_bytes = ReadFileOrEmpty(control_path);
-  const std::string resumed_bytes = ReadFileOrEmpty(halted_path);
+  const std::string control_bytes = BytesWithoutMetrics(control_path);
+  const std::string resumed_bytes = BytesWithoutMetrics(halted_path);
   ASSERT_FALSE(control_bytes.empty());
   ASSERT_FALSE(resumed_bytes.empty());
-  EXPECT_EQ(WithoutMetricsSection(control_bytes),
-            WithoutMetricsSection(resumed_bytes));
+  EXPECT_EQ(control_bytes, resumed_bytes);
 
   std::remove(control_path.c_str());
   std::remove(halted_path.c_str());

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -565,6 +566,12 @@ TEST_F(ServerFaultTest, RejectsMalformedReportsAndSubmissions) {
   bad.default_theta[0] = kNan;
   EXPECT_FALSE(server.StartSession(bad).ok());
   bad = *good;
+  bad.default_theta[0] = 1e154;  // finite, but outside the knob box
+  EXPECT_FALSE(server.StartSession(bad).ok());
+  bad = *good;
+  bad.default_observation.theta[0] = -0.5;
+  EXPECT_FALSE(server.StartSession(bad).ok());
+  bad = *good;
   bad.meta_feature[0] = kInf;
   EXPECT_FALSE(server.StartSession(bad).ok());
   bad = *good;
@@ -715,14 +722,75 @@ TEST_F(ServerFaultTest, CheckpointPreservesOutstandingRecommendation) {
   EXPECT_EQ(replayed->theta, rec->theta);
 }
 
-TEST_F(ServerFaultTest, LoadRejectsCorruptCheckpoints) {
-  ResTuneServer server;
-  std::stringstream wrong("something-else 1\n");
-  EXPECT_FALSE(server.LoadCheckpoint(&wrong).ok());
-  std::stringstream truncated("restune-server-checkpoint 1\nnext_id 4\n");
-  EXPECT_FALSE(server.LoadCheckpoint(&truncated).ok());
-  EXPECT_EQ(server.LoadCheckpointFile("/no/such/file.ckpt").code(),
-            StatusCode::kNotFound);
+bool SameBits(const Vector& a, const Vector& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST_F(ServerFaultTest, CheckpointReloadResavesBytesAndRecommendsIdentically) {
+  ServerOptions options;
+  options.min_observations_to_archive = 3;
+  options.use_event_sessions = true;
+  ResTuneServer server(options);
+  DbInstanceSimulator sim = MakeSim(101);
+  ResTuneClient client(&sim, characterizer_.get());
+
+  // A finished session archived into the repository, then an active one
+  // that trains on it, saw a fault and holds a speculative batch.
+  const auto first = server.StartSession(*client.PrepareSubmission());
+  ASSERT_TRUE(first.ok());
+  for (int i = 0; i < 4; ++i) {
+    const auto rec = server.Recommend(*first);
+    ASSERT_TRUE(rec.ok());
+    ASSERT_TRUE(
+        server.ReportEvaluation(*client.EvaluateRecommendation(*rec)).ok());
+  }
+  ASSERT_TRUE(server.FinishSession(*first).ok());
+  const auto second = server.StartSession(*client.PrepareSubmission());
+  ASSERT_TRUE(second.ok());
+  for (int i = 0; i < 3; ++i) {
+    const auto rec = server.Recommend(*second);
+    ASSERT_TRUE(rec.ok());
+    EvaluationReport report = *client.EvaluateRecommendation(*rec);
+    if (i == 1) report.fault = FaultKind::kCrash;
+    ASSERT_TRUE(server.ReportEvaluation(report).ok());
+  }
+  const auto batch = server.RecommendBatch(*second, 2);
+  ASSERT_TRUE(batch.ok());
+
+  std::stringstream stream;
+  ASSERT_TRUE(server.SaveCheckpoint(&stream).ok());
+  const std::string saved = stream.str();
+  ResTuneServer restored(options);
+  ASSERT_TRUE(restored.LoadCheckpoint(&stream).ok());
+
+  // Re-saving the restored server reproduces the original bytes.
+  std::stringstream resaved;
+  ASSERT_TRUE(restored.SaveCheckpoint(&resaved).ok());
+  EXPECT_EQ(resaved.str(), saved);
+  // The next Recommend — the outstanding one, then, once the batch is
+  // reported, a fresh advisor suggestion — is bit-identical on both.
+  std::vector<ResTuneServer*> servers = {&server, &restored};
+  for (ResTuneServer* s : servers) {
+    const auto outstanding = s->Recommend(*second);
+    ASSERT_TRUE(outstanding.ok());
+    EXPECT_EQ(outstanding->iteration, batch->front().iteration);
+    EXPECT_TRUE(SameBits(outstanding->theta, batch->front().theta));
+  }
+  for (const KnobRecommendation& rec : *batch) {
+    const auto report = client.EvaluateRecommendation(rec);
+    ASSERT_TRUE(report.ok());
+    for (ResTuneServer* s : servers) {
+      ASSERT_TRUE(s->ReportEvaluation(*report).ok());
+    }
+  }
+  const auto next = server.Recommend(*second);
+  const auto replayed = restored.Recommend(*second);
+  ASSERT_TRUE(next.ok());
+  ASSERT_TRUE(replayed.ok());
+  EXPECT_EQ(replayed->iteration, next->iteration);
+  EXPECT_TRUE(SameBits(replayed->theta, next->theta));
 }
 
 // ------------------------------------------------- NaN/Inf ingestion guards

@@ -381,9 +381,20 @@ TEST(MultiOutputGpTest, UpdateGrowsAllModels) {
   }
 }
 
-TEST(MultiOutputGpTest, RejectsEmptyFit) {
+TEST(MultiOutputGpTest, RejectsEmptyAndRaggedFits) {
   MultiOutputGp gp(2);
   EXPECT_FALSE(gp.Fit({}).ok());
+  // A wider θ after the first row (a corrupt repository task) must be
+  // refused, not copied past the end of the design matrix row.
+  Observation narrow;
+  narrow.theta = {0.1, 0.2};
+  narrow.res = 1.0;
+  narrow.tps = 2.0;
+  narrow.lat = 3.0;
+  Observation wide = narrow;
+  wide.theta = {0.3, 0.4, 0.5, 0.6};
+  EXPECT_EQ(gp.Fit({narrow, wide}).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(gp.Fit({narrow}, {wide}).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ObservationTest, MetricAccessorRoundTrip) {

@@ -181,7 +181,7 @@ TEST_F(IntegrationTest, RepositoryRoundTripPreservesTuningBehaviour) {
                                                 *characterizer_, config, 30))
                     .ok());
   }
-  const std::string path = testing::TempDir() + "/integration_repo.txt";
+  const std::string path = testing::TempDir() + "/integration_repo.bin";
   ASSERT_TRUE(repo.SaveToFile(path).ok());
   DataRepository loaded;
   ASSERT_TRUE(loaded.LoadFromFile(path).ok());

@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <memory>
 
 #include "bo/lhs.h"
 #include "meta/base_learner.h"
@@ -295,7 +298,7 @@ TEST(DataRepositoryTest, SaveLoadRoundTrip) {
   DataRepository repo;
   ASSERT_TRUE(repo.AddTask(LinearTask("alpha", 1.5, 5)).ok());
   ASSERT_TRUE(repo.AddTask(LinearTask("beta", -0.5, 7)).ok());
-  const std::string path = testing::TempDir() + "/repo_roundtrip.txt";
+  const std::string path = testing::TempDir() + "/repo_roundtrip.bin";
   ASSERT_TRUE(repo.SaveToFile(path).ok());
 
   DataRepository loaded;
@@ -306,6 +309,109 @@ TEST(DataRepositoryTest, SaveLoadRoundTrip) {
   EXPECT_NEAR(loaded.tasks()[0].meta_feature[0], 1.5, 1e-9);
   EXPECT_NEAR(loaded.tasks()[0].observations[0].res,
               repo.tasks()[0].observations[0].res, 1e-6);
+  std::remove(path.c_str());
+}
+
+bool SameBits(const Vector& a, const Vector& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Every task field, doubles by bit pattern; `internals` only on request.
+void ExpectSameTasks(const std::vector<TuningTask>& a,
+                     const std::vector<TuningTask>& b, bool with_internals) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t t = 0; t < a.size(); ++t) {
+    EXPECT_EQ(a[t].name, b[t].name);
+    EXPECT_EQ(a[t].hardware, b[t].hardware);
+    EXPECT_EQ(a[t].workload, b[t].workload);
+    EXPECT_TRUE(SameBits(a[t].meta_feature, b[t].meta_feature));
+    ASSERT_EQ(a[t].observations.size(), b[t].observations.size());
+    for (size_t i = 0; i < a[t].observations.size(); ++i) {
+      const Observation& x = a[t].observations[i];
+      const Observation& y = b[t].observations[i];
+      EXPECT_TRUE(SameBits(x.theta, y.theta));
+      EXPECT_TRUE(SameBits(x.res, y.res));
+      EXPECT_TRUE(SameBits(x.tps, y.tps));
+      EXPECT_TRUE(SameBits(x.lat, y.lat));
+      if (with_internals) {
+        EXPECT_TRUE(SameBits(x.internals, y.internals));
+      }
+    }
+  }
+}
+
+TEST(DataRepositoryTest, InternalsRoundTripBitIdentically) {
+  DataRepository repo;
+  TuningTask alpha = LinearTask("alpha", 1.0 / 3.0, 6);
+  for (Observation& obs : alpha.observations) {
+    obs.internals = {obs.res * 0.1, -0.0, 1e-300};
+  }
+  ASSERT_TRUE(repo.AddTask(alpha).ok());
+  ASSERT_TRUE(repo.AddTask(LinearTask("beta", -0.7, 4)).ok());
+  const std::string path = testing::TempDir() + "/repo_internals.bin";
+  ASSERT_TRUE(repo.SaveToFile(path).ok());
+  DataRepository loaded;
+  ASSERT_TRUE(loaded.LoadFromFile(path).ok());
+  ExpectSameTasks(repo.tasks(), loaded.tasks(), /*with_internals=*/true);
+  std::remove(path.c_str());
+}
+
+TEST(DataRepositoryTest, NamesWithSpacesRoundTripExactly) {
+  DataRepository repo;
+  TuningTask task = LinearTask("tpcc 100w", 0.5, 3);
+  task.hardware = "instance A (8 cores)";
+  task.workload = " tpcc  100 warehouses ";
+  ASSERT_TRUE(repo.AddTask(task).ok());
+  const std::string path = testing::TempDir() + "/repo_spaces.bin";
+  ASSERT_TRUE(repo.SaveToFile(path).ok());
+  DataRepository loaded;
+  ASSERT_TRUE(loaded.LoadFromFile(path).ok());
+  ASSERT_EQ(loaded.num_tasks(), 1u);
+  EXPECT_EQ(loaded.tasks()[0].name, "tpcc 100w");
+  EXPECT_EQ(loaded.tasks()[0].hardware, "instance A (8 cores)");
+  EXPECT_EQ(loaded.tasks()[0].workload, " tpcc  100 warehouses ");
+  std::remove(path.c_str());
+}
+
+TEST(DataRepositoryTest, JunkThetaTokenIsAStatusNotAThrow) {
+  // A text repository line with a non-numeric θ token: refused with a
+  // Status, never an exception escaping to the caller.
+  const std::string path = testing::TempDir() + "/repo_junk.txt";
+  FILE* f = fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  fputs("task t A w\nmeta 0.5\nobs 0.5 junk | 1 2 3\nend\n", f);
+  fclose(f);
+  DataRepository repo;
+  Status status;
+  EXPECT_NO_THROW(status = repo.LoadFromFile(path));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(repo.num_tasks(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(DataRepositoryTest, FailedSaveLeavesThePreviousFileIntact) {
+  DataRepository repo;
+  ASSERT_TRUE(repo.AddTask(LinearTask("kept", 1.0, 5)).ok());
+  const std::string path = testing::TempDir() + "/repo_atomic.bin";
+  ASSERT_TRUE(repo.SaveToFile(path).ok());
+  // A learner whose GP was never fitted cannot be written; the failed save
+  // must neither tear the existing file nor leave a temp file behind.
+  const BaseLearner unfitted = BaseLearner::FromParts(
+      "unfitted", {0.0}, MetricStandardizer(),
+      std::make_shared<MultiOutputGp>(2), "");
+  ASSERT_TRUE(repo.AddTask(LinearTask("lost", 2.0, 5)).ok());
+  EXPECT_FALSE(repo.SaveToFile(path, {unfitted}).ok());
+  DataRepository loaded;
+  ASSERT_TRUE(loaded.LoadFromFile(path).ok());
+  ASSERT_EQ(loaded.num_tasks(), 1u);
+  EXPECT_EQ(loaded.tasks()[0].name, "kept");
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
   std::remove(path.c_str());
 }
 

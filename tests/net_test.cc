@@ -45,8 +45,8 @@ Observation MakeObservation() {
 
 TEST(FrameTest, Crc32MatchesKnownVector) {
   // The canonical IEEE CRC-32 check value.
-  EXPECT_EQ(net::Crc32("123456789"), 0xCBF43926u);
-  EXPECT_EQ(net::Crc32(""), 0u);
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32(""), 0u);
 }
 
 TEST(FrameTest, EncodeDecodeRoundTrip) {
@@ -213,9 +213,9 @@ TEST(WireTest, SubmissionRoundTripsBitIdentically) {
   sub.default_observation = MakeObservation();
   sub.resource = "cpu";
 
-  WireWriter writer;
+  ByteWriter writer;
   WriteSubmission(&writer, sub);
-  WireReader reader(writer.str());
+  ByteReader reader(writer.str());
   TargetTaskSubmission back;
   ASSERT_TRUE(ReadSubmission(&reader, &back).ok());
   ASSERT_TRUE(reader.ExpectEnd().ok());
@@ -233,9 +233,9 @@ TEST(WireTest, RecommendationRoundTripsBitIdentically) {
   rec.iteration = -7;  // int travels as two's-complement int64
   rec.theta = {1.0 / 3.0, 0.7500000000000002};
 
-  WireWriter writer;
+  ByteWriter writer;
   WriteRecommendation(&writer, rec);
-  WireReader reader(writer.str());
+  ByteReader reader(writer.str());
   KnobRecommendation back;
   ASSERT_TRUE(ReadRecommendation(&reader, &back).ok());
   ASSERT_TRUE(reader.ExpectEnd().ok());
@@ -253,9 +253,9 @@ TEST(WireTest, ReportRoundTripsBitIdenticallyForEveryFaultKind) {
     report.observation = MakeObservation();
     report.fault = static_cast<FaultKind>(f);
 
-    WireWriter writer;
+    ByteWriter writer;
     WriteReport(&writer, report);
-    WireReader reader(writer.str());
+    ByteReader reader(writer.str());
     EvaluationReport back;
     ASSERT_TRUE(ReadReport(&reader, &back).ok());
     ASSERT_TRUE(reader.ExpectEnd().ok());
@@ -269,11 +269,11 @@ TEST(WireTest, ReportRoundTripsBitIdenticallyForEveryFaultKind) {
 TEST(WireTest, UnknownFaultKindIsRejected) {
   EvaluationReport report;
   report.observation = MakeObservation();
-  WireWriter writer;
+  ByteWriter writer;
   WriteReport(&writer, report);
   std::string bytes = writer.Take();
   bytes.back() = static_cast<char>(250);  // fault byte is last
-  WireReader reader(bytes);
+  ByteReader reader(bytes);
   EvaluationReport back;
   EXPECT_EQ(ReadReport(&reader, &back).code(), StatusCode::kInvalidArgument);
 }
@@ -286,9 +286,9 @@ TEST(WireTest, SummaryRoundTripsBitIdentically) {
   summary.best_feasible_res = 0.30000000000000004;
   summary.archived_to_repository = true;
 
-  WireWriter writer;
+  ByteWriter writer;
   WriteSummary(&writer, summary);
-  WireReader reader(writer.str());
+  ByteReader reader(writer.str());
   SessionSummary back;
   ASSERT_TRUE(ReadSummary(&reader, &back).ok());
   ASSERT_TRUE(reader.ExpectEnd().ok());
@@ -420,14 +420,14 @@ TEST(WireTest, TrailingGarbageIsRejected) {
 TEST(WireTest, HostileLengthFieldsCannotOverAllocate) {
   // A vector claiming 2^32-1 elements inside an 8-byte payload must fail
   // cleanly (bounds check), not attempt a 32 GiB allocation.
-  WireWriter writer;
+  ByteWriter writer;
   writer.PutU32(0xFFFFFFFFu);
   writer.PutU32(0);
-  WireReader reader(writer.str());
+  ByteReader reader(writer.str());
   Vector v;
   EXPECT_EQ(reader.GetVector(&v).code(), StatusCode::kInvalidArgument);
   std::string s;
-  WireReader reader2(writer.str());
+  ByteReader reader2(writer.str());
   EXPECT_EQ(reader2.GetString(&s).code(), StatusCode::kInvalidArgument);
 }
 

@@ -272,7 +272,7 @@ TEST_F(ObsTest, CheckpointRoundTripsCounterSnapshot) {
   EXPECT_EQ(loaded->metrics[1].second, 2);
 }
 
-TEST_F(ObsTest, CheckpointWithoutMetricsSectionStillLoads) {
+TEST_F(ObsTest, CheckpointWithEmptyCounterSnapshotLoads) {
   EventSessionCheckpoint checkpoint;
   std::stringstream stream;
   ASSERT_TRUE(SaveEventSessionCheckpoint(checkpoint, &stream).ok());

@@ -203,9 +203,11 @@ TEST(GpSerializationTest, MultiOutputRoundTrip) {
   }
   MultiOutputGp gp(2);
   ASSERT_TRUE(gp.Fit(obs).ok());
-  std::stringstream stream;
-  ASSERT_TRUE(SaveMultiOutputGp(gp, &stream).ok());
-  const auto loaded = LoadMultiOutputGp(&stream);
+  ByteWriter writer;
+  ASSERT_TRUE(WriteMultiOutputGp(&writer, gp).ok());
+  ByteReader reader(writer.str());
+  const auto loaded = ReadMultiOutputGp(&reader);
+  ASSERT_TRUE(reader.ExpectEnd().ok());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const Vector q = {0.4, 0.6};
   for (MetricKind kind : kAllMetricKinds) {
@@ -219,14 +221,26 @@ TEST(GpSerializationTest, RejectsUnfittedAndCorrupt) {
   std::stringstream stream;
   EXPECT_FALSE(SaveGpModel(gp, &stream).ok());
 
-  std::stringstream corrupt("gpmodel 1\nkernel warp 0 0 0\n");
-  EXPECT_FALSE(LoadGpModel(&corrupt).ok());
-  std::stringstream wrong_version("gpmodel 9\n");
-  EXPECT_FALSE(LoadGpModel(&wrong_version).ok());
-  std::stringstream truncated(
-      "gpmodel 1\nkernel matern52 0 0 0\noptions 0.001 1\ndata 5 2\n0 0 | "
-      "1\n");
-  EXPECT_FALSE(LoadGpModel(&truncated).ok());
+  // An unknown kernel name inside an intact file.
+  Rng rng(3);
+  Matrix x(4, 2);
+  Vector y(4);
+  for (size_t i = 0; i < 4; ++i) {
+    x(i, 0) = rng.Uniform();
+    x(i, 1) = rng.Uniform();
+    y[i] = x(i, 0);
+  }
+  ASSERT_TRUE(gp.Fit(x, y).ok());
+  ByteWriter payload;
+  ASSERT_TRUE(WriteGpModel(&payload, gp).ok());
+  std::string bytes = payload.Take();
+  const size_t name_at = bytes.find("matern52");
+  ASSERT_NE(name_at, std::string::npos);
+  bytes.replace(name_at, 8, "warpwarp");
+  std::stringstream unknown_kernel;
+  ASSERT_TRUE(WriteSealed(FileKind::kGpModel, bytes, &unknown_kernel).ok());
+  EXPECT_EQ(LoadGpModel(&unknown_kernel).status().code(),
+            StatusCode::kNotFound);
 }
 
 
