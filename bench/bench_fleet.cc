@@ -4,11 +4,11 @@
 // latency (p99_ms, client-observed Recommend round trip). Where
 // bench_tuning_session times a single in-process loop, this measures the
 // deployment shape of the paper's Figure 2 — many tenants against one
-// tuning cluster — with framing, dispatch sharding, and the server's
-// coarse lock all on the clock.
+// tuning cluster — with framing, the event loop, and the server's coarse
+// lock all on the clock.
 //
 // CI runs it through tools/run_ci_bench.py, which folds the two user
-// counters into the BENCH_9.json rows next to cpu_ms_median and gates
+// counters into the BENCH_<n>.json rows next to cpu_ms_median and gates
 // merges on tools/check_bench_regression.py vs bench/baseline.json.
 
 #include <benchmark/benchmark.h>
@@ -67,7 +67,6 @@ void BM_FleetRecommend(benchmark::State& state) {
   ResTuneServer server(FleetServerOptions());
   WireServerOptions wire_options;
   wire_options.loop.max_connections = fleet + 8;
-  wire_options.loop.num_shards = 8;
   WireServer wire(&server, wire_options);
   if (!wire.Start().ok()) {
     state.SkipWithError("wire server failed to start");

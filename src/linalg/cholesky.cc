@@ -166,66 +166,66 @@ Matrix Cholesky::SolveLowerMatrix(const Matrix& b, ThreadPool* pool) const {
   constexpr size_t kStripe = 64;
   constexpr size_t kRowBlock = 48;
   const size_t num_stripes = (m + kStripe - 1) / kStripe;
-  ResolvePool(pool)->ParallelForRanges(
-      num_stripes, [&](size_t stripe_begin, size_t stripe_end) {
-        for (size_t s = stripe_begin; s < stripe_end; ++s) {
-          const size_t c0 = s * kStripe;
-          const size_t c1 = std::min(m, c0 + kStripe);
-          for (size_t b0 = 0; b0 < n; b0 += kRowBlock) {
-            const size_t b1 = std::min(n, b0 + kRowBlock);
-            // Y[b0:b1) -= L[b0:b1, 0:b0) * Y[0:b0) with register tiling.
-            size_t i = b0;
-            for (; b0 > 0 && i + 4 <= b1; i += 4) {
-              const double* l0 = l_.RowPtr(i);
-              const double* l1 = l_.RowPtr(i + 1);
-              const double* l2 = l_.RowPtr(i + 2);
-              const double* l3 = l_.RowPtr(i + 3);
-              double* y0 = y.RowPtr(i);
-              double* y1 = y.RowPtr(i + 1);
-              double* y2 = y.RowPtr(i + 2);
-              double* y3 = y.RowPtr(i + 3);
-              size_t c = c0;
-              for (; c + 8 <= c1; c += 8) {
-                // The whole k-loop for this 4x8 tile lives inside one
-                // dispatched call; updates stay in-place in Y, and per
-                // element the subtraction order is still k ascending.
-                simd::Trsm4x8Panel(y0 + c, y1 + c, y2 + c, y3 + c, l0, l1, l2,
-                                   l3, y.RowPtr(0) + c, m, b0);
-              }
-              for (; c < c1; ++c) {
-                double a0 = y0[c], a1 = y1[c], a2 = y2[c], a3 = y3[c];
-                for (size_t k = 0; k < b0; ++k) {
-                  const double v = y(k, c);
-                  a0 -= l0[k] * v;
-                  a1 -= l1[k] * v;
-                  a2 -= l2[k] * v;
-                  a3 -= l3[k] * v;
-                }
-                y0[c] = a0;
-                y1[c] = a1;
-                y2[c] = a2;
-                y3[c] = a3;
-              }
-            }
-            for (; i < b1; ++i) {
-              const double* li = l_.RowPtr(i);
-              double* yi = y.RowPtr(i);
-              for (size_t k = 0; k < b0; ++k) {
-                simd::Fnma(yi + c0, li[k], y.RowPtr(k) + c0, c1 - c0);
-              }
-            }
-            // Forward substitution within the diagonal block.
-            for (i = b0; i < b1; ++i) {
-              const double* li = l_.RowPtr(i);
-              double* yi = y.RowPtr(i);
-              for (size_t k = b0; k < i; ++k) {
-                simd::Fnma(yi + c0, li[k], y.RowPtr(k) + c0, c1 - c0);
-              }
-              simd::Scale(yi + c0, 1.0 / li[i], c1 - c0);
-            }
-          }
+  // A stripe is a heavy task (an n×n triangle against 64 columns) and a
+  // sweep has only a few, so each is claimed alone: a range loop over so
+  // few items would run below the pool's grain, serially.
+  ResolvePool(pool)->ParallelFor(num_stripes, [&](size_t s) {
+    const size_t c0 = s * kStripe;
+    const size_t c1 = std::min(m, c0 + kStripe);
+    for (size_t b0 = 0; b0 < n; b0 += kRowBlock) {
+      const size_t b1 = std::min(n, b0 + kRowBlock);
+      // Y[b0:b1) -= L[b0:b1, 0:b0) * Y[0:b0) with register tiling.
+      size_t i = b0;
+      for (; b0 > 0 && i + 4 <= b1; i += 4) {
+        const double* l0 = l_.RowPtr(i);
+        const double* l1 = l_.RowPtr(i + 1);
+        const double* l2 = l_.RowPtr(i + 2);
+        const double* l3 = l_.RowPtr(i + 3);
+        double* y0 = y.RowPtr(i);
+        double* y1 = y.RowPtr(i + 1);
+        double* y2 = y.RowPtr(i + 2);
+        double* y3 = y.RowPtr(i + 3);
+        size_t c = c0;
+        for (; c + 8 <= c1; c += 8) {
+          // The whole k-loop for this 4x8 tile lives inside one
+          // dispatched call; updates stay in-place in Y, and per
+          // element the subtraction order is still k ascending.
+          simd::Trsm4x8Panel(y0 + c, y1 + c, y2 + c, y3 + c, l0, l1, l2, l3,
+                             y.RowPtr(0) + c, m, b0);
         }
-      });
+        for (; c < c1; ++c) {
+          double a0 = y0[c], a1 = y1[c], a2 = y2[c], a3 = y3[c];
+          for (size_t k = 0; k < b0; ++k) {
+            const double v = y(k, c);
+            a0 -= l0[k] * v;
+            a1 -= l1[k] * v;
+            a2 -= l2[k] * v;
+            a3 -= l3[k] * v;
+          }
+          y0[c] = a0;
+          y1[c] = a1;
+          y2[c] = a2;
+          y3[c] = a3;
+        }
+      }
+      for (; i < b1; ++i) {
+        const double* li = l_.RowPtr(i);
+        double* yi = y.RowPtr(i);
+        for (size_t k = 0; k < b0; ++k) {
+          simd::Fnma(yi + c0, li[k], y.RowPtr(k) + c0, c1 - c0);
+        }
+      }
+      // Forward substitution within the diagonal block.
+      for (i = b0; i < b1; ++i) {
+        const double* li = l_.RowPtr(i);
+        double* yi = y.RowPtr(i);
+        for (size_t k = b0; k < i; ++k) {
+          simd::Fnma(yi + c0, li[k], y.RowPtr(k) + c0, c1 - c0);
+        }
+        simd::Scale(yi + c0, 1.0 / li[i], c1 - c0);
+      }
+    }
+  });
   return y;
 }
 

@@ -80,7 +80,6 @@ std::vector<std::unique_ptr<ClientSession>> ClientRegistrar::AcceptPending(
 
 WireLoop::WireLoop(FrameHandler handler, WireLoopOptions options)
     : handler_(std::move(handler)), options_(options) {
-  if (options_.num_shards == 0) options_.num_shards = 1;
   if (options_.max_in_flight_per_connection == 0) {
     options_.max_in_flight_per_connection = 1;
   }
@@ -117,18 +116,15 @@ void WireLoop::ReadFromSession(ClientSession* session) {
   }
 }
 
-size_t WireLoop::DispatchPending() {
-  ThreadPool* pool = ResolvePool(options_.pool);
+void WireLoop::DispatchPending() {
   const size_t cap = options_.max_in_flight_per_connection;
-  size_t handled = 0;
   for (;;) {
-    // Decode phase (loop thread): fill each inbox up to the in-flight
-    // cap. Bytes already buffered past the cap wait for the next pass —
-    // that is the read-side backpressure, and we count it.
-    std::vector<std::vector<ClientSession*>> shards(options_.num_shards);
     bool any = false;
     for (auto& session : sessions_) {
       if (session->dead_) continue;
+      // Decode up to the in-flight cap. Bytes already buffered past the
+      // cap wait for the next pass — that is the read-side backpressure,
+      // and we count it.
       while (session->inbox_.size() < cap) {
         Frame frame;
         Result<bool> next = session->decoder_.Next(&frame);
@@ -146,41 +142,27 @@ size_t WireLoop::DispatchPending() {
           session->decoder_.buffered_bytes() >= kFrameHeaderBytes) {
         Metrics().read_paused->Add(1);
       }
-      if (!session->inbox_.empty()) {
-        shards[session->shard(options_.num_shards)].push_back(session.get());
-        any = true;
-      }
-    }
-    if (!any) return handled;
-    for (auto& shard : shards) {
-      for (ClientSession* session : shard) handled += session->inbox_.size();
-    }
-
-    // Dispatch phase: shards run concurrently on the pool; within a shard
-    // each session's frames are handled in arrival order.
-    pool->ParallelFor(shards.size(), [&](size_t s) {
-      for (ClientSession* session : shards[s]) {
-        while (!session->inbox_.empty() && !session->close_after_flush_) {
-          Frame frame = std::move(session->inbox_.front());
-          session->inbox_.pop_front();
-          HandlerResult result = handler_(session->id(), frame);
-          if (!result.response.empty()) {
-            session->staged_.push_back(std::move(result.response));
-          }
-          if (result.close) session->close_after_flush_ = true;
+      if (session->inbox_.empty()) continue;
+      any = true;
+      // Handlers run here, on the loop thread, in arrival order; each one
+      // is a top-level pool caller, so its loops get the whole pool.
+      while (!session->inbox_.empty() && !session->close_after_flush_) {
+        Frame frame = std::move(session->inbox_.front());
+        session->inbox_.pop_front();
+        HandlerResult result = handler_(session->id(), frame);
+        if (!result.response.empty()) {
+          session->queued_bytes_ += result.response.size();
+          session->write_queue_.push_back(std::move(result.response));
         }
-        session->inbox_.clear();
+        if (result.close) session->close_after_flush_ = true;
       }
-    });
+      session->inbox_.clear();
+    }
+    if (!any) return;
   }
 }
 
 void WireLoop::FlushSession(ClientSession* session) {
-  for (auto& response : session->staged_) {
-    session->queued_bytes_ += response.size();
-    session->write_queue_.push_back(std::move(response));
-  }
-  session->staged_.clear();
   if (session->queued_bytes_ > options_.max_write_queue_bytes) {
     // Slow client: its responses are accumulating faster than it reads
     // them. Cut it loose rather than buffer without bound.
@@ -274,8 +256,7 @@ Status WireLoop::PollOnce(int timeout_ms) {
 
   for (auto& session : sessions_) {
     if (session->dead_) continue;
-    if (!session->staged_.empty() || !session->write_queue_.empty() ||
-        session->close_after_flush_) {
+    if (!session->write_queue_.empty() || session->close_after_flush_) {
       FlushSession(session.get());
     }
   }

@@ -11,23 +11,18 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "net/frame.h"
 #include "net/socket.h"
 
 /// Non-blocking poll() event loop for the wire-facing tuning service
-/// (docs/SERVICE.md, "Event loop & sharding").
+/// (docs/SERVICE.md, "Server architecture").
 ///
 /// Threading model: one thread (the caller of `RunUntilStopped` /
 /// `PollOnce`) owns every socket, buffer, and session object — no locks.
-/// The only concurrency is the dispatch phase of a tick: sessions are
-/// grouped into shards by `id % num_shards`, and the frame handler runs
-/// for all shards in one `ThreadPool::ParallelFor`, so handlers for
-/// different shards execute concurrently while each session's frames stay
-/// strictly ordered. The handler must therefore be thread-safe across
-/// sessions (ResTuneServer is — its mutex serializes advisor work) but
-/// never sees two frames of one session at once. `RequestStop` is the one
-/// cross-thread entry point (an atomic flag).
+/// That thread also runs the frame handler, session by session, each
+/// session's frames in arrival order, so a handler is a top-level
+/// `ThreadPool` caller and its data-parallel loops get the whole pool.
+/// `RequestStop` is the one cross-thread entry point (an atomic flag).
 ///
 /// Admission control and backpressure:
 ///   * at most `max_connections` live sessions; excess accepts are closed
@@ -54,13 +49,8 @@ struct WireLoopOptions {
   /// Queued response bytes per connection before a slow-client disconnect.
   size_t max_write_queue_bytes = 4u << 20;
   size_t max_frame_payload = kDefaultMaxFramePayload;
-  /// Session shards dispatched concurrently; handler calls within a shard
-  /// are sequential.
-  size_t num_shards = 4;
   /// poll() timeout per tick of RunUntilStopped — also the stop latency.
   int poll_interval_ms = 20;
-  /// Pool for the dispatch phase; nullptr = ThreadPool::Shared().
-  ThreadPool* pool = nullptr;
 };
 
 /// What the frame handler tells the loop to do with one request frame.
@@ -76,7 +66,7 @@ using FrameHandler =
 
 /// One accepted connection: socket, incremental decoder, decoded-frame
 /// inbox, and the outbound write queue. Owned and driven by the loop
-/// thread; during dispatch exactly one pool worker touches it.
+/// thread.
 class ClientSession {
  public:
   ClientSession(Socket socket, uint64_t id, size_t max_payload)
@@ -84,7 +74,6 @@ class ClientSession {
 
   uint64_t id() const { return id_; }
   int fd() const { return socket_.fd(); }
-  size_t shard(size_t num_shards) const { return id_ % num_shards; }
 
  private:
   friend class WireLoop;
@@ -94,9 +83,6 @@ class ClientSession {
   FrameDecoder decoder_;
   /// Decoded frames awaiting dispatch (≤ max_in_flight_per_connection).
   std::deque<Frame> inbox_;
-  /// Responses staged by the dispatch phase, moved to the write queue by
-  /// the loop thread afterwards.
-  std::vector<std::string> staged_;
   /// Outbound bytes; front element partially sent up to write_offset_.
   std::deque<std::string> write_queue_;
   size_t write_offset_ = 0;
@@ -159,9 +145,8 @@ class WireLoop {
 
  private:
   void ReadFromSession(ClientSession* session);
-  /// Decode + dispatch passes until every inbox is empty; returns the
-  /// number of frames handled.
-  size_t DispatchPending();
+  /// Decode + handle passes until every inbox is empty.
+  void DispatchPending();
   void FlushSession(ClientSession* session);
   void ReapDeadSessions();
   void CloseAll();

@@ -12,11 +12,13 @@
 /// The wire face of ResTuneServer (docs/SERVICE.md): one net::WireLoop
 /// whose frame handler decodes service/wire.h messages, calls the
 /// in-process ResTuneServer, and encodes the response (or a typed
-/// kErrorResponse). The loop runs on a dedicated host thread; handler
-/// dispatch fans out over the loop's session shards, and ResTuneServer's
-/// own mutex serializes what must be serialized — so every server-side
-/// invariant (idempotent Recommend/ReportEvaluation/FinishSession,
-/// byte-identical checkpoints) holds unchanged over the wire.
+/// kErrorResponse). The loop runs on a dedicated host thread, which also
+/// runs every handler, one request at a time; each request is therefore a
+/// top-level ThreadPool caller whose advisor loops use the whole pool.
+/// ResTuneServer's own mutex still serializes what must be serialized, so
+/// every server-side invariant (idempotent Recommend/ReportEvaluation/
+/// FinishSession, byte-identical checkpoints) holds unchanged over the
+/// wire.
 ///
 /// Lifecycle: Start() binds + spawns the loop thread; Stop() (idempotent,
 /// also run by the destructor) requests loop exit and joins. Start/Stop

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "bo/acq_optimizer.h"
 #include "bo/batch.h"
@@ -9,9 +10,18 @@
 #include "bo/lhs.h"
 #include "bo/surrogate.h"
 #include "common/thread_pool.h"
+#include "obs/metrics.h"
 
 namespace restune {
 namespace {
+
+/// Fan-out (non-inline) pool loops so far; a pool-size invariance test
+/// checks it rose during the wide call, so the parallel path really ran.
+int64_t PoolLoops() {
+  return obs::MetricsRegistry::Global()
+      ->GetCounter("restune_pool_loops_total")
+      ->Value();
+}
 
 TEST(LhsTest, OneSamplePerStratum) {
   Rng rng(2);
@@ -214,7 +224,8 @@ TEST(BatchAcquisitionTest, BatchCeiWithoutIncumbentMatchesScalar) {
 TEST(BatchAcquisitionTest, CeiBatchIsPoolSizeInvariant) {
   // The pool handed to the batch CEI path drives the GP's blocked
   // inference; values must be bitwise identical whether the work runs
-  // inline, on an explicit pool, or on the shared pool.
+  // inline, on an explicit pool, or on the shared pool. The query count is
+  // above the pool's range grain, so the 4-thread call really fans out.
   const size_t dim = 3, n = 40;
   Rng rng(11);
   std::vector<Observation> obs;
@@ -236,7 +247,7 @@ TEST(BatchAcquisitionTest, CeiBatchIsPoolSizeInvariant) {
   ctx.best_feasible_res = 55.0;
   ctx.lambda_tps = 8000.0;
   ctx.lambda_lat = 7.0;
-  const std::vector<Vector> queries = UniformSample(17, dim, &rng);
+  const std::vector<Vector> queries = UniformSample(200, dim, &rng);
   Matrix thetas(queries.size(), dim);
   for (size_t r = 0; r < queries.size(); ++r) {
     for (size_t c = 0; c < dim; ++c) thetas(r, c) = queries[r][c];
@@ -244,8 +255,10 @@ TEST(BatchAcquisitionTest, CeiBatchIsPoolSizeInvariant) {
   ThreadPool serial(1), wide(4);
   const auto inline_vals =
       ConstrainedExpectedImprovementBatch(surrogate, thetas, ctx, &serial);
+  const int64_t loops_before = PoolLoops();
   const auto pooled_vals =
       ConstrainedExpectedImprovementBatch(surrogate, thetas, ctx, &wide);
+  EXPECT_GT(PoolLoops(), loops_before);
   const auto shared_vals =
       ConstrainedExpectedImprovementBatch(surrogate, thetas, ctx);
   ASSERT_EQ(inline_vals.size(), thetas.rows());
@@ -320,8 +333,10 @@ TEST(AcqOptimizerTest, ChosenCandidateBitwiseIdenticalAcrossPoolSizes) {
   Rng rng_a(12345), rng_b(12345);
   const Vector a = MaximizeAcquisitionBatch(acquisition, 2, &rng_a,
                                             serial_opts);
+  const int64_t loops_before = PoolLoops();
   const Vector b = MaximizeAcquisitionBatch(acquisition, 2, &rng_b,
                                             parallel_opts);
+  EXPECT_GT(PoolLoops(), loops_before);
   ASSERT_EQ(a.size(), b.size());
   for (size_t d = 0; d < a.size(); ++d) {
     EXPECT_EQ(a[d], b[d]) << "dim " << d << " differs between pool sizes";
@@ -340,7 +355,9 @@ TEST(AcqOptimizerTest, ScalarAdapterBitwiseIdenticalAcrossPoolSizes) {
 
   Rng rng_a(777), rng_b(777);
   const Vector a = MaximizeAcquisition(acquisition, 2, &rng_a, serial_opts);
+  const int64_t loops_before = PoolLoops();
   const Vector b = MaximizeAcquisition(acquisition, 2, &rng_b, parallel_opts);
+  EXPECT_GT(PoolLoops(), loops_before);
   ASSERT_EQ(a.size(), b.size());
   for (size_t d = 0; d < a.size(); ++d) {
     EXPECT_EQ(a[d], b[d]) << "dim " << d << " differs between pool sizes";

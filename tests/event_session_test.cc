@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -13,6 +14,7 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "obs/metrics.h"
 #include "tuner/cbo_advisor.h"
 #include "tuner/cdbtune_advisor.h"
 #include "tuner/checkpoint.h"
@@ -313,10 +315,18 @@ TEST_F(EventSessionTest, EventLogIsThreadCountInvariant) {
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return session.records();
   };
+  // Fan-out loop counts: the 8-thread run must take the parallel path
+  // (its sweeps are above the pool's range grain) or the test proves
+  // nothing. Loops on the shared pool are the same in both runs.
+  obs::Counter* loops =
+      obs::MetricsRegistry::Global()->GetCounter("restune_pool_loops_total");
   ThreadPool one(1);
   ThreadPool eight(8);
+  const int64_t before_one = loops->Value();
   const auto a = run_with_pool(&one);
+  const int64_t before_eight = loops->Value();
   const auto b = run_with_pool(&eight);
+  EXPECT_GT(loops->Value() - before_eight, before_eight - before_one);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].kind, b[i].kind) << "record " << i;

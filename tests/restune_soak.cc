@@ -10,6 +10,7 @@
 ///  * the acquisition thread pool does not change the trace (1 worker vs 8).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -18,6 +19,7 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tuner/restune_advisor.h"
 #include "tuner/event_session.h"
@@ -253,9 +255,14 @@ TEST_F(SoakTest, KilledAtIterationHundredResumesByteIdentically) {
 }
 
 TEST_F(SoakTest, AcquisitionThreadPoolSizeDoesNotChangeTheTrace) {
+  // Fan-out loop counts: the 8-thread run must take the parallel path or
+  // the comparison proves nothing. Shared-pool loops match in both runs.
+  obs::Counter* loops =
+      obs::MetricsRegistry::Global()->GetCounter("restune_pool_loops_total");
   ThreadPool serial(1);
   DbInstanceSimulator serial_sim = SoakSimulator(SoakFaults());
   ResTuneAdvisor serial_advisor = SoakAdvisor(&serial);
+  const int64_t before_serial = loops->Value();
   const auto serial_run =
       EventTuningSession(&serial_sim, &serial_advisor, SoakOptions(60)).Run();
   ASSERT_TRUE(serial_run.ok()) << serial_run.status().ToString();
@@ -263,9 +270,11 @@ TEST_F(SoakTest, AcquisitionThreadPoolSizeDoesNotChangeTheTrace) {
   ThreadPool wide(8);
   DbInstanceSimulator wide_sim = SoakSimulator(SoakFaults());
   ResTuneAdvisor wide_advisor = SoakAdvisor(&wide);
+  const int64_t before_wide = loops->Value();
   const auto wide_run =
       EventTuningSession(&wide_sim, &wide_advisor, SoakOptions(60)).Run();
   ASSERT_TRUE(wide_run.ok()) << wide_run.status().ToString();
+  EXPECT_GT(loops->Value() - before_wide, before_wide - before_serial);
   ExpectIdenticalTraces(*serial_run, *wide_run);
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -11,6 +12,7 @@
 #include "common/thread_pool.h"
 #include "net/frame.h"
 #include "net/socket.h"
+#include "obs/metrics.h"
 #include "service/restune_client.h"
 #include "service/restune_server.h"
 #include "service/tuning_client.h"
@@ -127,6 +129,62 @@ TEST_F(WireServiceTest, LoopbackTuningLoopOverTheWire) {
   EXPECT_GE(MetricValue(*metrics, "restune_net_frames_rx_total"), 7.0);
   EXPECT_GE(MetricValue(*metrics, "restune_net_connections_accepted_total"),
             1.0);
+}
+
+/// A served request is a top-level pool caller: the handler runs on the
+/// loop thread, not inside a pool worker, so the advisor's sweep (512
+/// candidates, above the pool's range grain) fans out exactly as it does
+/// when the same call is made directly. The θ sequence is bit-identical.
+TEST_F(WireServiceTest, ServedRecommendUsesThePoolLikeADirectCall) {
+  if (ThreadPool::Shared()->num_threads() < 2) {
+    GTEST_SKIP() << "needs a shared pool of at least 2 threads";
+  }
+  obs::Counter* loops =
+      obs::MetricsRegistry::Global()->GetCounter("restune_pool_loops_total");
+  ServerOptions options;
+  options.archive_finished_sessions = false;
+  constexpr int kIters = 4;
+
+  // Direct calls from this thread: the reference θ sequence and the
+  // fan-out loop count of each Recommend.
+  std::vector<Vector> direct_thetas;
+  std::vector<int64_t> direct_loops;
+  {
+    ResTuneServer server(options);
+    const auto session = server.StartSession(MakeSubmission("wire-pool"));
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    for (int iter = 1; iter <= kIters; ++iter) {
+      const int64_t before = loops->Value();
+      const auto rec = server.Recommend(*session);
+      ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+      direct_loops.push_back(loops->Value() - before);
+      direct_thetas.push_back(rec->theta);
+      ASSERT_TRUE(
+          server.ReportEvaluation(FeasibleReport(*rec, 10.0 - 0.1 * iter))
+              .ok());
+    }
+  }
+
+  ResTuneServer server(options);
+  WireServer wire(&server);
+  ASSERT_TRUE(wire.Start().ok());
+  auto client = TuningClient::Connect("127.0.0.1", wire.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const auto session = client->StartSession(MakeSubmission("wire-pool"));
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  for (int iter = 1; iter <= kIters; ++iter) {
+    const int64_t before = loops->Value();
+    const auto rec = client->Recommend(*session);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    const int64_t served_loops = loops->Value() - before;
+    EXPECT_GT(served_loops, 0) << "iteration " << iter;
+    EXPECT_EQ(served_loops, direct_loops[iter - 1]) << "iteration " << iter;
+    EXPECT_TRUE(BitEq(rec->theta, direct_thetas[iter - 1]))
+        << "iteration " << iter;
+    ASSERT_TRUE(
+        client->ReportEvaluation(FeasibleReport(*rec, 10.0 - 0.1 * iter))
+            .ok());
+  }
 }
 
 TEST_F(WireServiceTest, ServerSemanticsAreIdempotentOverTheWire) {
@@ -418,7 +476,6 @@ TEST_F(WireServiceTest, FleetOfHundredConcurrentSessions) {
   ResTuneServer server(FastServerOptions());
   WireServerOptions options;
   options.loop.max_connections = 128;
-  options.loop.num_shards = 8;
   WireServer wire(&server, options);
   ASSERT_TRUE(wire.Start().ok());
 
