@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -7,11 +8,13 @@
 #include <memory>
 
 #include "bo/lhs.h"
+#include "common/thread_pool.h"
 #include "meta/base_learner.h"
 #include "meta/data_repository.h"
 #include "meta/meta_feature.h"
 #include "meta/meta_learner.h"
 #include "meta/standardizer.h"
+#include "obs/metrics.h"
 #include "sqlgen/generator.h"
 
 namespace restune {
@@ -238,6 +241,69 @@ TEST_F(MetaLearnerTest, WorksWithNoBaseLearners) {
   EXPECT_NEAR(learner.weights().back(), 1.0, 1e-9);
   EXPECT_LT(learner.PredictMetric(MetricKind::kRes, {0.1, 0.5}).mean,
             learner.PredictMetric(MetricKind::kRes, {0.9, 0.5}).mean);
+}
+
+TEST_F(MetaLearnerTest, BatchBlocksAreBitIdenticalAcrossPoolSizes) {
+  // 150 rows are two full 64-row blocks and a partial one, scored as one
+  // pool loop whose tasks run the ensemble inline. Every pool size must give
+  // the same bits, and so must each block scored on its own (unsplit). The
+  // learners hold more than one 48-row solve block, so the blocked
+  // triangular solve takes its SIMD panel path.
+  const auto loops = [] {
+    return obs::MetricsRegistry::Global()
+        ->GetCounter("restune_pool_loops_total")
+        ->Value();
+  };
+  for (bool target_variance_only : {true, false}) {
+    MetaLearnerOptions options = FastOptions(3);
+    options.target_variance_only = target_variance_only;
+    std::vector<BaseLearner> bases;
+    bases.push_back(*BaseLearner::Train(LinearTask("similar", 10.0, 100)));
+    bases.push_back(*BaseLearner::Train(LinearTask("dissimilar", -10.0, 100)));
+    MetaLearner learner(2, std::move(bases), {9.0, -8.0}, options);
+    Rng rng(8);
+    for (const Vector& theta : LatinHypercubeSample(12, 2, &rng)) {
+      ASSERT_TRUE(learner.AddObservation(TargetObs(theta, &rng)).ok());
+    }
+    Matrix thetas(150, 2);
+    for (size_t r = 0; r < thetas.rows(); ++r) {
+      thetas(r, 0) = rng.Uniform();
+      thetas(r, 1) = rng.Uniform();
+    }
+    ThreadPool serial(1), three(3), wide(4);
+    for (MetricKind kind : kAllMetricKinds) {
+      const std::vector<GpPrediction> reference =
+          learner.PredictMetricBatch(kind, thetas, &serial);
+      ASSERT_EQ(reference.size(), thetas.rows());
+      const int64_t loops_before = loops();
+      const std::vector<GpPrediction> pooled =
+          learner.PredictMetricBatch(kind, thetas, &wide);
+      EXPECT_EQ(loops(), loops_before + 1);
+      const std::vector<GpPrediction> odd =
+          learner.PredictMetricBatch(kind, thetas, &three);
+      for (size_t r = 0; r < thetas.rows(); ++r) {
+        EXPECT_EQ(pooled[r].mean, reference[r].mean) << "row " << r;
+        EXPECT_EQ(pooled[r].variance, reference[r].variance) << "row " << r;
+        EXPECT_EQ(odd[r].mean, reference[r].mean) << "row " << r;
+        EXPECT_EQ(odd[r].variance, reference[r].variance) << "row " << r;
+      }
+      for (size_t begin = 0; begin < thetas.rows(); begin += 64) {
+        const size_t end = std::min<size_t>(thetas.rows(), begin + 64);
+        Matrix block(end - begin, 2);
+        for (size_t r = begin; r < end; ++r) {
+          block(r - begin, 0) = thetas(r, 0);
+          block(r - begin, 1) = thetas(r, 1);
+        }
+        const std::vector<GpPrediction> alone =
+            learner.PredictMetricBatch(kind, block, &wide);
+        for (size_t r = begin; r < end; ++r) {
+          EXPECT_EQ(alone[r - begin].mean, reference[r].mean) << "row " << r;
+          EXPECT_EQ(alone[r - begin].variance, reference[r].variance)
+              << "row " << r;
+        }
+      }
+    }
+  }
 }
 
 TEST_F(MetaLearnerTest, RejectsWrongDimension) {
