@@ -3,33 +3,29 @@
 namespace restune {
 namespace {
 
-/// Delivery outcome fields, spelled the same in EventRecord (completions)
-/// and InFlightRecord; the observation travels only for successful
-/// evaluations.
-template <typename Record>
-void WriteOutcome(ByteWriter* out, const Record& record) {
-  out->PutBool(record.failed);
-  out->PutU8(static_cast<uint8_t>(record.fault));
-  out->PutI64(record.attempts);
-  out->PutF64(record.backoff_seconds);
-  out->PutF64(record.elapsed_seconds);
-  out->PutBool(record.watchdog_killed);
-  if (!record.failed) WriteObservation(out, record.observation);
+/// The observation travels only for successful evaluations.
+void WriteOutcome(ByteWriter* out, const CompletionOutcome& outcome) {
+  out->PutBool(outcome.failed);
+  out->PutU8(static_cast<uint8_t>(outcome.fault));
+  out->PutI64(outcome.attempts);
+  out->PutF64(outcome.backoff_seconds);
+  out->PutF64(outcome.elapsed_seconds);
+  out->PutBool(outcome.watchdog_killed);
+  if (!outcome.failed) WriteObservation(out, outcome.observation);
 }
 
-template <typename Record>
-Status ReadOutcome(ByteReader* in, Record* record) {
-  RESTUNE_RETURN_IF_ERROR(in->GetBool(&record->failed));
+Status ReadOutcome(ByteReader* in, CompletionOutcome* outcome) {
+  RESTUNE_RETURN_IF_ERROR(in->GetBool(&outcome->failed));
   RESTUNE_RETURN_IF_ERROR(
-      in->GetEnum(&record->fault, FaultKind::kSlaViolation));
+      in->GetEnum(&outcome->fault, FaultKind::kSlaViolation));
   int64_t attempts = 0;
   RESTUNE_RETURN_IF_ERROR(in->GetI64(&attempts));
-  record->attempts = static_cast<int>(attempts);
-  RESTUNE_RETURN_IF_ERROR(in->GetF64(&record->backoff_seconds));
-  RESTUNE_RETURN_IF_ERROR(in->GetF64(&record->elapsed_seconds));
-  RESTUNE_RETURN_IF_ERROR(in->GetBool(&record->watchdog_killed));
-  if (record->failed) return Status::OK();
-  return ReadObservation(in, &record->observation);
+  outcome->attempts = static_cast<int>(attempts);
+  RESTUNE_RETURN_IF_ERROR(in->GetF64(&outcome->backoff_seconds));
+  RESTUNE_RETURN_IF_ERROR(in->GetF64(&outcome->elapsed_seconds));
+  RESTUNE_RETURN_IF_ERROR(in->GetBool(&outcome->watchdog_killed));
+  if (outcome->failed) return Status::OK();
+  return ReadObservation(in, &outcome->observation);
 }
 
 void WriteInFlightRecord(ByteWriter* out, const InFlightRecord& record) {

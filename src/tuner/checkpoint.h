@@ -36,8 +36,24 @@ enum class EventKind {
   kComplete = 1,
 };
 
-/// One entry of the event-driven session's totally ordered log.
-struct EventRecord {
+/// What a finished evaluation delivered. A completion record and an
+/// in-flight record both carry it; the observation is meaningful, and
+/// serialized, only when the evaluation succeeded.
+struct CompletionOutcome {
+  bool failed = false;
+  Observation observation;
+  FaultKind fault = FaultKind::kNone;
+  int attempts = 1;
+  double backoff_seconds = 0.0;
+  double elapsed_seconds = 0.0;
+  /// True when the session watchdog cancelled the pending slot (stall or
+  /// over-deadline delivery) rather than the evaluation finishing.
+  bool watchdog_killed = false;
+};
+
+/// One entry of a session's totally ordered log. The outcome fields are
+/// completion fields.
+struct EventRecord : CompletionOutcome {
   EventKind kind = EventKind::kLaunch;
   /// Launch sequence number; pairs a completion with its launch.
   uint64_t seq = 0;
@@ -53,16 +69,7 @@ struct EventRecord {
   SessionMode mode = SessionMode::kHealthy;
   bool sla_violated = false;
 
-  // Completion fields.
-  bool failed = false;
-  Observation observation;
-  FaultKind fault = FaultKind::kNone;
-  int attempts = 1;
-  double backoff_seconds = 0.0;
-  double elapsed_seconds = 0.0;
-  /// True when the session watchdog cancelled the pending slot (stall or
-  /// over-deadline delivery) rather than the evaluation finishing.
-  bool watchdog_killed = false;
+  // Completion fields beyond the outcome.
   /// Safety state after ingesting this completion — written so resume can
   /// verify the replayed ladder bit-for-bit.
   SessionMode mode_after = SessionMode::kHealthy;
@@ -73,17 +80,10 @@ struct EventRecord {
 /// outcome is computed eagerly at launch (that is what makes the event loop
 /// deterministic), so the record carries the full result plus its delivery
 /// time; θ and launch metadata live in the matching kLaunch record.
-struct InFlightRecord {
+struct InFlightRecord : CompletionOutcome {
   uint64_t seq = 0;
   /// Absolute simulated-clock time at which the completion is delivered.
   double delivery_seconds = 0.0;
-  bool failed = false;
-  Observation observation;
-  FaultKind fault = FaultKind::kNone;
-  int attempts = 1;
-  double backoff_seconds = 0.0;
-  double elapsed_seconds = 0.0;
-  bool watchdog_killed = false;
 };
 
 /// Durable state of an `EventTuningSession`.
