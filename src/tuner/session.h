@@ -12,14 +12,11 @@
 namespace restune {
 
 /// Fault-tolerance policy of a tuning session: how evaluations are
-/// supervised, whether failures feed back into the advisor, and where
-/// session state is checkpointed for crash recovery.
+/// supervised and where session state is checkpointed for crash recovery.
+/// Classified failures always feed back into the advisor as hard SLA
+/// violations (constraint evidence + knob quarantine).
 struct SessionFaultOptions {
   RetryPolicy retry;
-  /// Feed classified evaluation failures back to the advisor as hard SLA
-  /// violations (constraint evidence + knob quarantine). Off replicates the
-  /// fail-and-forget behavior of a supervision-less loop.
-  bool failure_aware_learning = true;
   /// Path of the session checkpoint file; empty disables checkpointing.
   std::string checkpoint_path;
   /// Checkpoint every this many iterations (a final checkpoint is always
