@@ -3,14 +3,121 @@
 // recommendation, and target workload replay — for ResTune,
 // ResTune-w/o-ML, iTuned, CDBTune-w-Con and OtterTune-w-Con.
 //
+// Every algorithmic phase comes from the trace spans of one traced run per
+// method (docs/OBSERVABILITY.md):
+//   * recommendation  = `advisor.suggest`;
+//   * meta-data       = the meta spans inside `advisor.observe`
+//                       (`meta.base_predictions` + `meta.weights` for
+//                       ResTune, `meta.remap` for OtterTune);
+//   * model update    = the rest of `advisor.observe`.
 // Replay time is the simulator's modeled wall time (3 min for benchmark
-// workloads); the algorithmic phases are measured wall-clock on this
-// machine, so absolute values differ from the paper's but the structure —
-// replay dominating every method — must reproduce.
+// workloads), so absolute values differ from the paper's but the structure
+// — replay dominating every method — must reproduce.
+//
+// stdout carries only deterministic columns (iterations, modeled replay,
+// span counts and an FNV-1a hash of the θ and observation sequence), so it
+// is a `repro` golden; the wall times go to stderr.
+
+#include <unistd.h>
+
+#include <cinttypes>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 
 #include "bench/bench_common.h"
+#include "common/fnv.h"
+#include "obs/trace.h"
 
 using namespace restune;
+
+namespace {
+
+struct Span {
+  std::string name;
+  int64_t t_us = 0;
+  int64_t dur_us = 0;
+  int tid = 0;
+};
+
+std::vector<Span> ReadSpans(const std::string& path) {
+  std::vector<Span> spans;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    char name[64];
+    Span span;
+    if (std::sscanf(line.c_str(),
+                    "{\"type\":\"span\",\"name\":\"%63[^\"]\",\"t_us\":%" SCNd64
+                    ",\"dur_us\":%" SCNd64 ",\"tid\":%d",
+                    name, &span.t_us, &span.dur_us, &span.tid) == 4) {
+      span.name = name;
+      spans.push_back(std::move(span));
+    }
+  }
+  return spans;
+}
+
+bool IsMetaSpan(const std::string& name) {
+  return name == "meta.base_predictions" || name == "meta.weights" ||
+         name == "meta.remap";
+}
+
+/// Span counts and summed durations (µs) of the three algorithmic phases.
+struct Phases {
+  int suggest = 0, observe = 0, meta = 0;
+  int64_t suggest_us = 0, observe_us = 0, meta_us = 0;
+};
+
+/// A meta span counts only when it runs inside an `advisor.observe` on the
+/// same thread (the ensemble's constructor also computes weights).
+Phases SumPhases(const std::vector<Span>& spans) {
+  Phases p;
+  std::vector<const Span*> observes;
+  for (const Span& s : spans) {
+    if (s.name == "advisor.suggest") {
+      ++p.suggest;
+      p.suggest_us += s.dur_us;
+    } else if (s.name == "advisor.observe") {
+      ++p.observe;
+      p.observe_us += s.dur_us;
+      observes.push_back(&s);
+    }
+  }
+  for (const Span& s : spans) {
+    if (!IsMetaSpan(s.name)) continue;
+    for (const Span* o : observes) {
+      if (o->tid == s.tid && o->t_us <= s.t_us &&
+          s.t_us + s.dur_us <= o->t_us + o->dur_us) {
+        ++p.meta;
+        p.meta_us += s.dur_us;
+        break;
+      }
+    }
+  }
+  return p;
+}
+
+/// FNV-1a over the bit patterns of every evaluated θ and its metrics, so a
+/// one-ulp change to any θ or metric moves the golden.
+std::string SequenceHash(const SessionResult& result) {
+  Fnv1a fnv;
+  for (const IterationRecord& rec : result.history) {
+    for (double v : rec.observation.theta) fnv.AddDouble(v);
+    fnv.AddDouble(rec.observation.res);
+    fnv.AddDouble(rec.observation.tps);
+    fnv.AddDouble(rec.observation.lat);
+  }
+  return fnv.Hex();
+}
+
+#if defined(RESTUNE_OBS_DISABLED)
+constexpr bool kSpansRecorded = false;
+#else
+constexpr bool kSpansRecorded = true;
+#endif
+
+}  // namespace
 
 int main() {
   bench::BenchSetup();
@@ -31,9 +138,17 @@ int main() {
   inputs.repository_tasks = repo.tasks();
   inputs.target_meta_feature = ComputeMetaFeature(characterizer, target);
 
+  const std::string trace_path =
+      (std::filesystem::temp_directory_path() /
+       ("bench_table3_" + std::to_string(::getpid()) + ".jsonl"))
+          .string();
+
   struct Row {
     std::string method;
-    double meta = 0, update = 0, recommend = 0, replay = 0;
+    size_t iterations = 0;
+    double replay = 0;
+    Phases phases;
+    std::string hash;
   };
   std::vector<Row> rows;
 
@@ -41,7 +156,14 @@ int main() {
        {MethodKind::kResTune, MethodKind::kResTuneNoMl, MethodKind::kITuned,
         MethodKind::kCdbTune, MethodKind::kOtterTune}) {
     auto sim = MakeSimulator(space, 'A', target, config).value();
+    if (!obs::Tracer::Global()->Start(trace_path)) {
+      std::fprintf(stderr, "cannot open trace file %s\n", trace_path.c_str());
+      return 1;
+    }
     const auto result = RunMethod(method, &sim, inputs, config);
+    obs::Tracer::Global()->Stop();
+    const std::vector<Span> spans = ReadSpans(trace_path);
+    std::filesystem::remove(trace_path);
     if (!result.ok()) {
       std::fprintf(stderr, "%s failed: %s\n", MethodName(method),
                    result.status().ToString().c_str());
@@ -49,32 +171,54 @@ int main() {
     }
     Row row;
     row.method = MethodName(method);
+    row.iterations = result->history.size();
     for (const IterationRecord& rec : result->history) {
-      row.meta += rec.timing.meta_processing_s;
-      row.update += rec.timing.model_update_s;
-      row.recommend += rec.timing.recommendation_s;
       row.replay += rec.replay_seconds;
     }
-    const double n = static_cast<double>(result->history.size());
-    row.meta /= n;
-    row.update /= n;
-    row.recommend /= n;
-    row.replay /= n;
+    row.replay /= static_cast<double>(row.iterations);
+    row.phases = SumPhases(spans);
+    row.hash = SequenceHash(*result);
     rows.push_back(row);
   }
 
-  std::printf("%-26s %14s %14s %14s %16s %12s %9s\n", "Phase (avg/iter)",
-              "Meta-Data(s)", "ModelUpd(s)", "Recommend(s)", "Replay(s,sim)",
-              "Total(s)", "Replay%");
+  // Deterministic columns: the span counts show which phases each method
+  // has (advisor.observe includes the default observation that Begin
+  // ingests), the hash pins the whole tuning path.
+  std::printf("%-26s %6s %16s %8s %8s %8s %18s\n", "Method", "Iters",
+              "Replay(s,sim)", "Suggest", "Observe", "Meta", "Theta/obs hash");
   for (const Row& r : rows) {
-    const double total = r.meta + r.update + r.recommend + r.replay;
-    std::printf("%-26s %14.4f %14.4f %14.4f %16.1f %12.1f %8.1f%%\n",
-                r.method.c_str(), r.meta, r.update, r.recommend, r.replay,
-                total, 100.0 * r.replay / total);
+    const Phases& p = r.phases;
+    std::printf("%-26s %6zu %16.1f %8d %8d %8d %18s\n", r.method.c_str(),
+                r.iterations, r.replay, p.suggest, p.observe, p.meta,
+                r.hash.c_str());
   }
   std::printf(
       "\nTakeaway (paper Table 3): workload replay dominates every method "
       "(>90%%),\nso comparisons should focus on the number of iterations, "
       "not per-iteration\nalgorithm cost.\n");
+
+  // Wall times vary run to run, so they stay out of the golden.
+  if (!kSpansRecorded) {
+    std::fprintf(stderr,
+                 "\nWall times unavailable: built with RESTUNE_OBS_DISABLED, "
+                 "so no spans were recorded.\n");
+    return 0;
+  }
+  std::fprintf(stderr, "\n%-26s %14s %14s %14s %16s %12s %9s\n",
+               "Phase (avg/iter)", "Meta-Data(s)", "ModelUpd(s)",
+               "Recommend(s)", "Replay(s,sim)", "Total(s)", "Replay%");
+  for (const Row& r : rows) {
+    const Phases& p = r.phases;
+    // Summed µs → seconds per iteration.
+    const double divisor = 1e6 * static_cast<double>(r.iterations);
+    const double meta = static_cast<double>(p.meta_us) / divisor;
+    const double update =
+        static_cast<double>(p.observe_us - p.meta_us) / divisor;
+    const double recommend = static_cast<double>(p.suggest_us) / divisor;
+    const double total = meta + update + recommend + r.replay;
+    std::fprintf(stderr, "%-26s %14.4f %14.4f %14.4f %16.1f %12.1f %8.1f%%\n",
+                 r.method.c_str(), meta, update, recommend, r.replay, total,
+                 100.0 * r.replay / total);
+  }
   return 0;
 }

@@ -136,14 +136,17 @@ Status MetaLearner::AddObservation(const Observation& raw_observation) {
   // Extend each base learner's prediction cache with the new point. The
   // learners are immutable and each owns its cache row, so they extend
   // concurrently.
-  ThreadPool::Shared()->ParallelFor(bases_.size(), [&](size_t i) {
-    LearnerPrediction pred;
-    for (MetricKind kind : kAllMetricKinds) {
-      pred.by_metric[static_cast<size_t>(kind)] =
-          bases_[i].Predict(kind, raw_observation.theta);
-    }
-    base_pred_cache_[i].push_back(pred);
-  });
+  {
+    RESTUNE_TRACE_SPAN("meta.base_predictions");
+    ThreadPool::Shared()->ParallelFor(bases_.size(), [&](size_t i) {
+      LearnerPrediction pred;
+      for (MetricKind kind : kAllMetricKinds) {
+        pred.by_metric[static_cast<size_t>(kind)] =
+            bases_[i].Predict(kind, raw_observation.theta);
+      }
+      base_pred_cache_[i].push_back(pred);
+    });
+  }
   RecomputeWeights();
   return Status::OK();
 }

@@ -25,14 +25,6 @@ inline Vector ClampToTrustRegion(const Vector& theta, const Vector& center,
   return out;
 }
 
-/// Wall-clock cost of the advisor's last iteration, split into the phases
-/// of paper Table 3 (workload replay time is accounted by the session).
-struct IterationTiming {
-  double meta_processing_s = 0.0;
-  double model_update_s = 0.0;
-  double recommendation_s = 0.0;
-};
-
 /// A knob-recommendation strategy. The `EventTuningSession` drives the loop:
 ///
 ///   Begin(default observation, SLA)            — once
@@ -93,12 +85,6 @@ class Advisor {
     (void)fault;
     return Status::OK();
   }
-
-  /// Timing of the most recent SuggestNext/Observe pair.
-  IterationTiming last_timing() const { return timing_; }
-
- protected:
-  IterationTiming timing_;
 };
 
 }  // namespace restune

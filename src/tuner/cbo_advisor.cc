@@ -4,7 +4,6 @@
 #include "bo/lhs.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tuner/stopwatch.h"
 
 namespace restune {
 
@@ -59,8 +58,6 @@ Result<Vector> CboAdvisor::SuggestNext() {
       obs::MetricsRegistry::Global()->GetCounter(
           "restune_advisor_suggestions_total{advisor=\"cbo\"}");
   suggestions->Add();
-  StopWatch watch;
-  timing_.meta_processing_s = 0.0;
   // Pending LHS points that landed inside a quarantined region (a config
   // nearby crashed since the design was drawn) are skipped, not evaluated.
   // An active trust region clamps the design point like any suggestion.
@@ -71,7 +68,6 @@ Result<Vector> CboAdvisor::SuggestNext() {
       next = ClampToTrustRegion(next, trust_center_, trust_radius_);
     }
     if (!quarantine_.empty() && quarantine_.Contains(next)) continue;
-    timing_.recommendation_s = watch.Seconds();
     return next;
   }
   const Surrogate* surrogate_ptr = nullptr;
@@ -118,9 +114,7 @@ Result<Vector> CboAdvisor::SuggestNext() {
       return ClampToTrustRegion(theta, trust_center_, trust_radius_);
     };
   }
-  Vector next = MaximizeAcquisitionBatch(acquisition, dim_, &rng_, acq_options);
-  timing_.recommendation_s = watch.Seconds();
-  return next;
+  return MaximizeAcquisitionBatch(acquisition, dim_, &rng_, acq_options);
 }
 
 Result<Vector> CboAdvisor::SuggestNextAsync(
@@ -161,7 +155,7 @@ Result<const Surrogate*> CboAdvisor::ActiveSurrogate() {
 }
 
 Status CboAdvisor::Observe(const Observation& observation) {
-  StopWatch watch;
+  RESTUNE_TRACE_SPAN("advisor.observe");
   history_.push_back(observation);
   if (approx_ == nullptr) {
     RESTUNE_RETURN_IF_ERROR(gp_.Update(observation));
@@ -170,13 +164,11 @@ Status CboAdvisor::Observe(const Observation& observation) {
     // refits from `history_` at the next suggestion.
     approx_dirty_ = true;
   }
-  timing_.model_update_s = watch.Seconds();
   return Status::OK();
 }
 
 Status CboAdvisor::ObserveFailure(const Vector& theta,
                                   const EvaluationFault& fault) {
-  StopWatch watch;
   if (theta.size() != dim_) {
     return Status::InvalidArgument("failure theta dimension mismatch");
   }
@@ -197,7 +189,6 @@ Status CboAdvisor::ObserveFailure(const Vector& theta,
     penalized.lat = 2.0 * sla_.max_lat;
     RESTUNE_RETURN_IF_ERROR(gp_.UpdateConstraintOnly(penalized));
   }
-  timing_.model_update_s = watch.Seconds();
   return Status::OK();
 }
 

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "tuner/stopwatch.h"
+#include "obs/trace.h"
 
 namespace restune {
 
@@ -58,26 +58,24 @@ Status CdbTuneAdvisor::Begin(const Observation& default_observation,
 }
 
 Result<Vector> CdbTuneAdvisor::SuggestNext() {
+  RESTUNE_TRACE_SPAN("advisor.suggest");
   if (!agent_) {
     return Status::FailedPrecondition("call Begin first");
   }
-  StopWatch watch;
   last_action_ = agent_->ActWithNoise(previous_state_);
-  timing_.recommendation_s = watch.Seconds();
   return last_action_;
 }
 
 Status CdbTuneAdvisor::Observe(const Observation& observation) {
+  RESTUNE_TRACE_SPAN("advisor.observe");
   if (!agent_ || last_action_.empty()) {
     return Status::FailedPrecondition("Observe without a pending suggestion");
   }
-  StopWatch watch;
   last_reward_ = Reward(observation);
   const Vector next_state = NormalizedState(observation);
   agent_->Observe({previous_state_, last_action_, last_reward_, next_state});
   previous_state_ = next_state;
   previous_ = observation;
-  timing_.model_update_s = watch.Seconds();
   return Status::OK();
 }
 

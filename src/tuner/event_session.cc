@@ -229,7 +229,6 @@ void EventTuningSession::ApplyCompletion(SessionResult* result,
   rec.fault = completion.fault;
   rec.attempts = completion.attempts;
   rec.backoff_seconds = completion.backoff_seconds;
-  rec.timing = advisor_->last_timing();
   rec.replay_seconds = simulator_->options().replay_seconds;
   if (completion.failed) {
     rec.observation.theta = theta;

@@ -6,7 +6,6 @@
 #include "bo/lhs.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tuner/stopwatch.h"
 
 namespace restune {
 
@@ -51,6 +50,7 @@ Status OtterTuneAdvisor::Begin(const Observation& default_observation,
 }
 
 Status OtterTuneAdvisor::Remap() {
+  RESTUNE_TRACE_SPAN("meta.remap");
   // OtterTune's workload mapping: nearest historical workload by Euclidean
   // distance of raw internal-metric vectors (absolute distances — the
   // hardware-scale weakness the paper contrasts against ranking loss).
@@ -97,11 +97,9 @@ Result<Vector> OtterTuneAdvisor::SuggestNext() {
       obs::MetricsRegistry::Global()->GetCounter(
           "restune_advisor_suggestions_total{advisor=\"ottertune\"}");
   suggestions->Add();
-  StopWatch watch;
   if (!pending_lhs_.empty()) {
     Vector next = pending_lhs_.back();
     pending_lhs_.pop_back();
-    timing_.recommendation_s = watch.Seconds();
     return next;
   }
   if (!gp_->fitted()) {
@@ -122,24 +120,18 @@ Result<Vector> OtterTuneAdvisor::SuggestNext() {
     return ConstrainedExpectedImprovementBatch(surrogate, thetas, ctx,
                                                options_.acq_optimizer.pool);
   };
-  Vector next =
-      MaximizeAcquisitionBatch(acquisition, dim_, &rng_, options_.acq_optimizer);
-  timing_.recommendation_s = watch.Seconds();
-  return next;
+  return MaximizeAcquisitionBatch(acquisition, dim_, &rng_,
+                                  options_.acq_optimizer);
 }
 
 Status OtterTuneAdvisor::Observe(const Observation& observation) {
-  StopWatch watch;
+  RESTUNE_TRACE_SPAN("advisor.observe");
   history_.push_back(observation);
   if (mapped_task_ < 0 || ++observations_since_remap_ >= options_.remap_period) {
     RESTUNE_RETURN_IF_ERROR(Remap());
     observations_since_remap_ = 0;
   }
-  timing_.meta_processing_s = watch.Seconds();
-  watch.Restart();
-  RESTUNE_RETURN_IF_ERROR(RefitModel());
-  timing_.model_update_s = watch.Seconds();
-  return Status::OK();
+  return RefitModel();
 }
 
 }  // namespace restune

@@ -4,7 +4,6 @@
 #include "bo/lhs.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tuner/stopwatch.h"
 
 namespace restune {
 
@@ -48,7 +47,6 @@ Status ResTuneAdvisor::Begin(const Observation& default_observation,
 Result<Vector> ResTuneAdvisor::SuggestNext() {
   RESTUNE_TRACE_SPAN("advisor.suggest");
   SuggestionsCounter()->Add();
-  StopWatch watch;
   // Pending LHS points inside a quarantined region (a nearby config crashed
   // since the design was drawn) are skipped, not evaluated. An active trust
   // region clamps the design point like any other suggestion.
@@ -59,7 +57,6 @@ Result<Vector> ResTuneAdvisor::SuggestNext() {
       next = ClampToTrustRegion(next, trust_center_, trust_radius_);
     }
     if (!quarantine_.empty() && quarantine_.Contains(next)) continue;
-    timing_.recommendation_s = watch.Seconds();
     return next;
   }
   if (history_.empty()) {
@@ -115,9 +112,7 @@ Result<Vector> ResTuneAdvisor::SuggestNext() {
       return ClampToTrustRegion(theta, trust_center_, trust_radius_);
     };
   }
-  Vector next = MaximizeAcquisitionBatch(acquisition, dim_, &rng_, acq_options);
-  timing_.recommendation_s = watch.Seconds();
-  return next;
+  return MaximizeAcquisitionBatch(acquisition, dim_, &rng_, acq_options);
 }
 
 Result<Vector> ResTuneAdvisor::SuggestNextAsync(
@@ -137,25 +132,16 @@ void ResTuneAdvisor::SetTrustRegion(const Vector& center, double radius) {
 void ResTuneAdvisor::ClearTrustRegion() { trust_region_active_ = false; }
 
 Status ResTuneAdvisor::Observe(const Observation& observation) {
-  // Meta-data processing (standardization + weight learning) and the
-  // target-model update both happen inside AddObservation; we time the
-  // whole call as model update and report the weight-learning share as
-  // meta-data processing using the phase the learner is in.
+  // Table 3's meta-data processing is the `meta.base_predictions` and
+  // `meta.weights` spans inside AddObservation; the rest of this span is
+  // the model update.
   RESTUNE_TRACE_SPAN("advisor.observe");
-  StopWatch watch;
   history_.push_back(observation);
-  RESTUNE_RETURN_IF_ERROR(meta_learner_->AddObservation(observation));
-  const double total = watch.Seconds();
-  // Static-phase weight work is trivial; dynamic weights dominate.
-  const double meta_share = meta_learner_->in_static_phase() ? 0.25 : 0.6;
-  timing_.meta_processing_s = total * meta_share;
-  timing_.model_update_s = total * (1.0 - meta_share);
-  return Status::OK();
+  return meta_learner_->AddObservation(observation);
 }
 
 Status ResTuneAdvisor::ObserveFailure(const Vector& theta,
                                       const EvaluationFault& fault) {
-  StopWatch watch;
   if (theta.size() != dim_) {
     return Status::InvalidArgument("failure theta dimension mismatch");
   }
@@ -170,7 +156,6 @@ Status ResTuneAdvisor::ObserveFailure(const Vector& theta,
     RESTUNE_RETURN_IF_ERROR(
         meta_learner_->AddFailure(theta, 0.0, 2.0 * sla_.max_lat));
   }
-  timing_.model_update_s = watch.Seconds();
   return Status::OK();
 }
 

@@ -34,7 +34,6 @@ struct IterationRecord {
   /// Best feasible resource value up to and including this iteration
   /// (default-config value until something better is found).
   double best_feasible_res = 0.0;
-  IterationTiming timing;
   double replay_seconds = 0.0;
   /// True when the evaluation failed for good (after retries); the
   /// observation then carries only θ, not metrics.

@@ -2,11 +2,8 @@
 
 #include <cmath>
 
-#include "analysis/knob_importance.h"
 #include "analysis/shap.h"
 #include "analysis/tco.h"
-
-#include "common/rng.h"
 
 namespace restune {
 namespace {
@@ -107,61 +104,6 @@ TEST(TcoTest, ProviderNames) {
   EXPECT_STREQ(CloudProviderName(CloudProvider::kAws), "AWS");
   EXPECT_STREQ(CloudProviderName(CloudProvider::kAzure), "Azure");
   EXPECT_STREQ(CloudProviderName(CloudProvider::kAliyun), "Aliyun");
-}
-
-
-// -------------------------------------------------------- knob importance
-
-TEST(KnobImportanceTest, IdentifiesDominantKnob) {
-  // res depends strongly on knob 0, weakly on knob 1, not at all on knob 2.
-  Rng data_rng(3);
-  std::vector<Observation> obs;
-  for (int i = 0; i < 60; ++i) {
-    Observation o;
-    o.theta = {data_rng.Uniform(), data_rng.Uniform(), data_rng.Uniform()};
-    o.res = 100.0 * o.theta[0] + 5.0 * o.theta[1];
-    o.tps = 1.0;
-    o.lat = 1.0;
-    obs.push_back(o);
-  }
-  const KnobSpace space = CaseStudyKnobSpace();
-  Rng rng(4);
-  const auto ranking = RankKnobImportanceFromHistory(obs, space, &rng);
-  ASSERT_TRUE(ranking.ok()) << ranking.status().ToString();
-  ASSERT_EQ(ranking->size(), 3u);
-  EXPECT_EQ((*ranking)[0].index, 0u);
-  EXPECT_GT((*ranking)[0].score, 0.7);
-  EXPECT_LT((*ranking)[2].score, 0.1);
-  // Scores are a normalized distribution.
-  double sum = 0.0;
-  for (const auto& ki : *ranking) sum += ki.score;
-  EXPECT_NEAR(sum, 1.0, 1e-9);
-}
-
-TEST(KnobImportanceTest, SelectTopKnobsBuildsSubSpace) {
-  const KnobSpace space = CaseStudyKnobSpace();
-  std::vector<KnobImportance> ranking(3);
-  ranking[0] = {"innodb_lru_scan_depth", 2, 0.6};
-  ranking[1] = {"innodb_thread_concurrency", 0, 0.3};
-  ranking[2] = {"innodb_spin_wait_delay", 1, 0.1};
-  const auto reduced = SelectTopKnobs(space, ranking, 2);
-  ASSERT_TRUE(reduced.ok());
-  EXPECT_EQ(reduced->dim(), 2u);
-  EXPECT_TRUE(reduced->Contains("innodb_lru_scan_depth"));
-  EXPECT_TRUE(reduced->Contains("innodb_thread_concurrency"));
-  EXPECT_FALSE(reduced->Contains("innodb_spin_wait_delay"));
-}
-
-TEST(KnobImportanceTest, InputValidation) {
-  const KnobSpace space = CaseStudyKnobSpace();
-  Rng rng(1);
-  EXPECT_FALSE(RankKnobImportanceFromHistory({}, space, &rng).ok());
-  GpModel unfitted(3);
-  EXPECT_FALSE(RankKnobImportance(unfitted, space, &rng).ok());
-  std::vector<KnobImportance> ranking(3);
-  for (size_t i = 0; i < 3; ++i) ranking[i].index = i;
-  EXPECT_FALSE(SelectTopKnobs(space, ranking, 0).ok());
-  EXPECT_FALSE(SelectTopKnobs(space, ranking, 9).ok());
 }
 
 }  // namespace

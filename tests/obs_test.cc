@@ -15,8 +15,9 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tuner/checkpoint.h"
-#include "tuner/restune_advisor.h"
 #include "tuner/event_session.h"
+#include "tuner/harness.h"
+#include "tuner/restune_advisor.h"
 
 namespace restune {
 namespace {
@@ -182,6 +183,20 @@ void ValidateTraceFile(const std::string& path, int* num_spans,
   EXPECT_TRUE(saw_end) << "trace not closed by Stop()";
 }
 
+/// Number of span lines named `name` in the trace file at `path`.
+int CountSpans(const std::string& path, const std::string& name) {
+  std::ifstream in(path);
+  const std::string all((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  const std::string needle = "\"name\":\"" + name + "\"";
+  int n = 0;
+  for (size_t pos = all.find(needle); pos != std::string::npos;
+       pos = all.find(needle, pos + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
 DbInstanceSimulator ObsSimulator() {
   SimulatorOptions options;
   options.seed = 515;
@@ -224,28 +239,69 @@ TEST_F(ObsTest, SessionWithTracingEmitsPerIterationSpans) {
 
   // The taxonomy's per-iteration spans must all be present: fit, acquisition
   // and evaluation once per loop iteration.
-  std::ifstream in(path);
-  std::string all((std::istreambuf_iterator<char>(in)),
-                  std::istreambuf_iterator<char>());
-  auto count_of = [&all](const std::string& name) {
-    const std::string needle = "\"name\":\"" + name + "\"";
-    int n = 0;
-    for (size_t pos = all.find(needle); pos != std::string::npos;
-         pos = all.find(needle, pos + needle.size())) {
-      ++n;
-    }
-    return n;
-  };
-  EXPECT_EQ(count_of("session.iteration"), 12);
-  EXPECT_EQ(count_of("session.launch"), 12);
-  EXPECT_EQ(count_of("eval.supervised"), 13);  // + the default bootstrap
-  EXPECT_GT(count_of("gp.fit"), 0);
-  EXPECT_GT(count_of("meta.weights"), 0);
+  EXPECT_EQ(CountSpans(path, "session.iteration"), 12);
+  EXPECT_EQ(CountSpans(path, "session.launch"), 12);
+  // + the default bootstrap
+  EXPECT_EQ(CountSpans(path, "eval.supervised"), 13);
+  EXPECT_GT(CountSpans(path, "gp.fit"), 0);
+  EXPECT_GT(CountSpans(path, "meta.weights"), 0);
   // The LHS phase suggests without sweeping, so acq spans appear only after
   // the design is exhausted — but with 12 > static_weight_iterations (10)
   // they must appear.
-  EXPECT_GT(count_of("acq.sweep"), 0);
+  EXPECT_GT(CountSpans(path, "acq.sweep"), 0);
   std::remove(path.c_str());
+}
+
+TEST_F(ObsTest, EveryTable3MethodEmitsItsPhaseSpans) {
+  // bench_table3_breakdown builds paper Table 3 from these spans: a method
+  // that stops emitting one silently drops out of a column.
+  constexpr int kIterations = 8;
+  ExperimentConfig config;
+  config.iterations = kIterations;
+  const KnobSpace space = CaseStudyKnobSpace();
+  const WorkloadProfile target = MakeWorkload(WorkloadKind::kTwitter).value();
+  const WorkloadCharacterizer characterizer = TrainDefaultCharacterizer();
+  DataRepository repo;
+  ASSERT_TRUE(repo.AddTask(CollectHistoryTask(
+                               space, HardwareInstance('B').value(),
+                               MakeWorkload(WorkloadKind::kSysbench).value(),
+                               characterizer, config, 20))
+                  .ok());
+  MethodInputs inputs;
+  inputs.base_learners = repo.TrainAllBaseLearners();
+  inputs.repository_tasks = repo.tasks();
+  inputs.target_meta_feature = ComputeMetaFeature(characterizer, target);
+
+  struct Case {
+    MethodKind method;
+    std::vector<std::string> meta_spans;
+  };
+  const std::vector<Case> cases = {
+      {MethodKind::kResTune, {"meta.base_predictions", "meta.weights"}},
+      {MethodKind::kResTuneNoMl, {}},
+      {MethodKind::kITuned, {}},
+      {MethodKind::kOtterTune, {"meta.remap"}},
+      {MethodKind::kCdbTune, {}}};
+  const std::string path = testing::TempDir() + "/obs_table3_trace.jsonl";
+  for (const Case& c : cases) {
+    SCOPED_TRACE(MethodName(c.method));
+    auto sim = MakeSimulator(space, 'A', target, config).value();
+    ASSERT_TRUE(obs::Tracer::Global()->Start(path));
+    const auto result = RunMethod(c.method, &sim, inputs, config);
+    obs::Tracer::Global()->Stop();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->history.size(), static_cast<size_t>(kIterations));
+
+    EXPECT_EQ(CountSpans(path, "advisor.suggest"), kIterations);
+    // Begin feeds the default observation through Observe, except in
+    // CDBTune, which keeps it as its first RL state.
+    const int bootstrap = c.method == MethodKind::kCdbTune ? 0 : 1;
+    EXPECT_EQ(CountSpans(path, "advisor.observe"), kIterations + bootstrap);
+    for (const std::string& name : c.meta_spans) {
+      EXPECT_GT(CountSpans(path, name), 0) << name;
+    }
+    std::remove(path.c_str());
+  }
 }
 
 TEST_F(ObsTest, TraceSpanIsNoopWhenTracerDisabled) {

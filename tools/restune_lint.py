@@ -41,9 +41,12 @@ Rules (see docs/CORRECTNESS.md for rationale):
   obs-discipline   Two-way isolation of the observability layer: no
                    wall-clock reads (std::chrono::system_clock,
                    high_resolution_clock, gettimeofday, clock_gettime,
-                   localtime, gmtime) outside src/obs/ — all timing goes
-                   through the monotonic tracer (obs/trace.h) so traces
-                   never perturb replay; and no randomness (restune::Rng,
+                   localtime, gmtime) outside src/obs/, and no
+                   std::chrono::steady_clock in src/ outside src/obs/ —
+                   all timing in the library goes through the monotonic
+                   tracer (obs/trace.h), so there is one timer and traces
+                   never perturb replay (bench/ and tests/ may time with
+                   steady_clock); and no randomness (restune::Rng,
                    common/rng.h) inside src/obs/ — observability must not
                    consume RNG draws, or enabling a trace would change
                    every downstream sample.
@@ -127,6 +130,7 @@ WALL_CLOCK_PATTERN = re.compile(
     r"std::chrono::(system_clock|high_resolution_clock)\b"
     r"|\b(gettimeofday|clock_gettime|localtime(?:_r)?|gmtime(?:_r)?)\s*\("
 )
+STEADY_CLOCK_PATTERN = re.compile(r"std::chrono::steady_clock\b")
 SLEEP_PATTERN = re.compile(
     r"\b(?:sleep|usleep|nanosleep)\s*\("
     r"|\bsleep_(?:for|until)\s*(?:<[^>]*>)?\s*\(")
@@ -569,7 +573,10 @@ def check_obs_discipline(rel, code_lines, raw_lines, findings):
                     "consume RNG draws, or tracing would perturb replay"))
         return
     # Outside it: no wall-clock reads; all timing flows through the
-    # monotonic tracer so traces stay comparable and replay-stable.
+    # monotonic tracer so traces stay comparable and replay-stable. The
+    # library has no second timer either: its steady_clock reads live in
+    # src/obs/ alone, while benches and tests may time with it.
+    in_src = rel.startswith("src/")
     for lineno, line in enumerate(code_lines, 1):
         m = WALL_CLOCK_PATTERN.search(line)
         if m:
@@ -577,7 +584,14 @@ def check_obs_discipline(rel, code_lines, raw_lines, findings):
                 rel, lineno, "obs-discipline",
                 f"'{m.group(0).strip()}' wall-clock read outside src/obs/; "
                 "time measurements go through the monotonic tracer "
-                "(obs/trace.h) or std::chrono::steady_clock"))
+                "(obs/trace.h), or std::chrono::steady_clock in benches "
+                "and tests"))
+        elif in_src and STEADY_CLOCK_PATTERN.search(line):
+            findings.append(Finding(
+                rel, lineno, "obs-discipline",
+                "'std::chrono::steady_clock' in src/ outside src/obs/; the "
+                "library times its phases with trace spans "
+                "(RESTUNE_TRACE_SPAN, obs/trace.h), not a second timer"))
 
 
 LOCK_EXEMPT = ("src/common/mutex.h",)

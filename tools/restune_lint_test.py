@@ -261,7 +261,7 @@ def test_obs_discipline_allows_wall_clock_inside_obs():
         t.cleanup()
 
 
-def test_obs_discipline_steady_clock_is_fine_everywhere():
+def test_obs_discipline_flags_steady_clock_in_src_outside_obs():
     t = FixtureTree()
     try:
         t.write("src/tuner/mono.cc", """\
@@ -271,7 +271,24 @@ def test_obs_discipline_steady_clock_is_fine_everywhere():
               return 0;
             }
             """)
-        assert t.lint() == []
+        findings = t.lint()
+        assert rules_of(findings) == ["obs-discipline"]
+        assert [line for _r, line, _p in findings] == [3]
+    finally:
+        t.cleanup()
+
+
+def test_obs_discipline_allows_steady_clock_in_bench():
+    t = FixtureTree()
+    try:
+        t.write("bench/bench_mono.cc", """\
+            #include <chrono>
+            long Mono() {
+              auto t = std::chrono::steady_clock::now();
+              return 0;
+            }
+            """)
+        assert t.lint("bench") == []
     finally:
         t.cleanup()
 
