@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "common/thread_pool.h"
+
 namespace restune {
 
 namespace {
@@ -15,6 +17,15 @@ uint64_t SplitMix64(uint64_t* state) {
 }
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
+/// The Box-Muller pair of two uniforms, u1 in (0, 1). `Gaussian()` and
+/// `FillGaussian()` both transform through here, so they agree bit for bit.
+void BoxMuller(double u1, double u2, double* first, double* second) {
+  const double r = std::sqrt(-2.0 * std::log(u1));
+  const double theta = 2.0 * M_PI * u2;
+  *second = r * std::sin(theta);
+  *first = r * std::cos(theta);
+}
 
 }  // namespace
 
@@ -58,20 +69,56 @@ double Rng::Gaussian() {
     has_cached_gaussian_ = false;
     return cached_gaussian_;
   }
-  double u1, u2;
+  double u1;
   do {
     u1 = Uniform();
   } while (u1 <= 0.0);
-  u2 = Uniform();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * M_PI * u2;
-  cached_gaussian_ = r * std::sin(theta);
+  const double u2 = Uniform();
+  double first;
+  BoxMuller(u1, u2, &first, &cached_gaussian_);
   has_cached_gaussian_ = true;
-  return r * std::cos(theta);
+  return first;
 }
 
 double Rng::Gaussian(double mean, double stddev) {
   return mean + stddev * Gaussian();
+}
+
+void Rng::FillGaussian(double* out, std::size_t count, ThreadPool* pool) {
+  if (count == 0) return;
+  std::size_t begin = 0;
+  if (has_cached_gaussian_) {
+    out[begin++] = cached_gaussian_;
+    has_cached_gaussian_ = false;
+  }
+  // The pairs' uniforms, in the order successive Gaussian() calls draw
+  // them. The last pair's second deviate is left in the cache slot, as
+  // Gaussian() leaves it: live after an odd remainder, spent after an even
+  // one (state() records the slot either way).
+  const std::size_t pairs = (count - begin + 1) / 2;
+  if (pairs == 0) return;
+  const bool odd = (count - begin) % 2 != 0;
+  std::vector<double> uniforms(2 * pairs);
+  for (std::size_t p = 0; p < pairs; ++p) {
+    double u1;
+    do {
+      u1 = Uniform();
+    } while (u1 <= 0.0);
+    uniforms[2 * p] = u1;
+    uniforms[2 * p + 1] = Uniform();
+  }
+  double tail = 0.0;
+  ResolvePool(pool)->ParallelForRanges(pairs, [&](std::size_t lo,
+                                                  std::size_t hi) {
+    for (std::size_t p = lo; p < hi; ++p) {
+      double* slot = out + begin + 2 * p;
+      const bool last_odd = odd && p + 1 == pairs;
+      BoxMuller(uniforms[2 * p], uniforms[2 * p + 1], &slot[0],
+                last_odd ? &tail : &slot[1]);
+    }
+  });
+  cached_gaussian_ = odd ? tail : out[count - 1];
+  has_cached_gaussian_ = odd;
 }
 
 Rng Rng::Fork() { return Rng(NextUint64()); }

@@ -8,6 +8,8 @@
 
 namespace restune {
 
+class ThreadPool;
+
 /// Complete serializable state of an `Rng` (the four xoshiro words plus the
 /// Box-Muller cache). Checkpoint/resume captures and restores generator
 /// streams through this so a resumed session continues the exact draw
@@ -47,6 +49,14 @@ class Rng {
 
   /// Normal deviate with the given mean and standard deviation.
   double Gaussian(double mean, double stddev);
+
+  /// Writes `count` standard normal deviates to `out`: the same values, and
+  /// the same generator state afterwards (Box-Muller cache included), as
+  /// `count` calls to `Gaussian()`. The uniforms are drawn serially; the
+  /// Box-Muller transforms of the pairs run on `pool` (the shared pool
+  /// when null), each with the scalar libm calls `Gaussian()` makes.
+  void FillGaussian(double* out, std::size_t count,
+                    ThreadPool* pool = nullptr);
 
   /// Fisher-Yates shuffle of `items`.
   template <typename T>

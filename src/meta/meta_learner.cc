@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "common/contracts.h"
 #include "common/logging.h"
@@ -199,26 +200,36 @@ std::vector<double> MetaLearner::StaticWeights() const {
 std::vector<std::vector<double>> MetaLearner::SampleRankingLosses() {
   const size_t total = target_raw_.size();
   const size_t num_learners = bases_.size() + 1;
-  const int samples = options_.ranking_loss_samples;
+  // At least one sample (none would leave the weights at 0 × 1/0), and a
+  // cap of at least two points (one point has no pair to rank).
+  const size_t samples =
+      static_cast<size_t>(std::max(1, options_.ranking_loss_samples));
+  const size_t max_points =
+      options_.ranking_loss_max_points > 0
+          ? static_cast<size_t>(std::max(2, options_.ranking_loss_max_points))
+          : 0;
 
   // Subsample the target points entering the O(n²) pair scan when the
   // history is long.
   std::vector<size_t> points(total);
   for (size_t j = 0; j < total; ++j) points[j] = j;
-  if (options_.ranking_loss_max_points > 0 &&
-      total > static_cast<size_t>(options_.ranking_loss_max_points)) {
+  if (max_points > 0 && total > max_points) {
     rng_.Shuffle(&points);
-    points.resize(static_cast<size_t>(options_.ranking_loss_max_points));
+    points.resize(max_points);
   }
   const size_t n = points.size();
 
-  // Target ground truth per metric.
-  std::array<std::vector<double>, kNumMetricKinds> truth;
+  // Target ground truth per metric, as the order of each pair j < k:
+  // true_order[u][j * n + k] = truth[j] <= truth[k].
+  std::array<std::vector<uint8_t>, kNumMetricKinds> true_order;
   for (MetricKind kind : kAllMetricKinds) {
-    auto& t = truth[static_cast<size_t>(kind)];
-    t.resize(n);
+    auto& order = true_order[static_cast<size_t>(kind)];
+    order.assign(n * n, 0);
     for (size_t j = 0; j < n; ++j) {
-      t[j] = target_raw_[points[j]].metric(kind);
+      const double tj = target_raw_[points[j]].metric(kind);
+      for (size_t k = j + 1; k < n; ++k) {
+        order[j * n + k] = tj <= target_raw_[points[k]].metric(kind);
+      }
     }
   }
 
@@ -229,32 +240,47 @@ std::vector<std::vector<double>> MetaLearner::SampleRankingLosses() {
         target_gp_->model(kind).LeaveOneOutPredictions();
   }
 
+  // One row of draws per (sample, learner): for each metric, one posterior
+  // draw per point. The standard normals come from the generator in that
+  // (sample, learner, metric, point) order, as one Gaussian() call each
+  // would draw them, so the weights do not depend on how rows are split.
+  ThreadPool* pool = ThreadPool::Shared();
+  const size_t row_size = kNumMetricKinds * n;
+  std::vector<double> draws(samples * num_learners * row_size);
+  rng_.FillGaussian(draws.data(), draws.size(), pool);
+
+  // Each row counts its misranked pairs as an integer, so the count equals
+  // the serial sum of 1.0s exactly and every row writes only its own slot.
   std::vector<std::vector<double>> losses(
       samples, std::vector<double>(num_learners, 0.0));
-  std::vector<double> draw(n);
-  for (int s = 0; s < samples; ++s) {
-    for (size_t i = 0; i < num_learners; ++i) {
-      double loss = 0.0;
+  pool->ParallelForRanges(samples * num_learners, [&](size_t lo, size_t hi) {
+    for (size_t row = lo; row < hi; ++row) {
+      const size_t i = row % num_learners;
+      uint64_t misranked = 0;
       for (MetricKind kind : kAllMetricKinds) {
         const size_t u = static_cast<size_t>(kind);
+        double* draw = draws.data() + row * row_size + u * n;
         for (size_t j = 0; j < n; ++j) {
           const GpPrediction& p =
               i < bases_.size()
                   ? base_pred_cache_[i][points[j]].by_metric[u]
                   : target_loo[u][points[j]];
-          draw[j] = rng_.Gaussian(p.mean, p.stddev());
+          draw[j] = p.mean + p.stddev() * draw[j];
         }
+        const uint8_t* order = true_order[u].data();
         for (size_t j = 0; j < n; ++j) {
+          const double dj = draw[j];
+          const uint8_t* order_j = order + j * n;
+          uint32_t misranked_j = 0;
           for (size_t k = j + 1; k < n; ++k) {
-            const bool pred_order = draw[j] <= draw[k];
-            const bool true_order = truth[u][j] <= truth[u][k];
-            if (pred_order != true_order) loss += 1.0;
+            misranked_j += (dj <= draw[k]) != static_cast<bool>(order_j[k]);
           }
+          misranked += misranked_j;
         }
       }
-      losses[s][i] = loss;
+      losses[row / num_learners][i] = static_cast<double>(misranked);
     }
-  }
+  });
   // Normalize to the fraction of misranked pairs so results are comparable
   // across subsample sizes (and directly reportable as Table 5's row).
   const double pairs =

@@ -159,6 +159,45 @@ TEST(RngTest, ShufflePreservesElements) {
   EXPECT_EQ(a, b);
 }
 
+void ExpectSameState(const RngState& a, const RngState& b) {
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(a.s[i], b.s[i]) << "word " << i;
+  EXPECT_EQ(a.has_cached_gaussian, b.has_cached_gaussian);
+  EXPECT_EQ(a.cached_gaussian, b.cached_gaussian);
+}
+
+TEST(RngTest, FillGaussianMatchesRepeatedGaussian) {
+  // From a fresh state and from one holding a cached deviate, a fill must
+  // write the values of `count` Gaussian() calls and leave the generator
+  // where they would. 2001 deviates are about 1000 pairs, past the pool's
+  // range grain, so the wide pool transforms them on its workers.
+  ThreadPool serial(1), wide(4);
+  for (bool cached : {false, true}) {
+    for (size_t count : {0, 1, 2, 7, 8, 2001}) {
+      for (ThreadPool* pool : {&serial, &wide}) {
+        Rng reference(17), filled(17);
+        if (cached) {
+          (void)reference.Gaussian();
+          (void)filled.Gaussian();
+        }
+        std::vector<double> expected(count);
+        for (double& x : expected) x = reference.Gaussian();
+        std::vector<double> actual(count, -1.0);
+        filled.FillGaussian(actual.data(), count, pool);
+        SCOPED_TRACE(testing::Message() << "cached=" << cached << " count="
+                                        << count << " threads="
+                                        << pool->num_threads());
+        for (size_t i = 0; i < count; ++i) {
+          EXPECT_EQ(actual[i], expected[i]) << "deviate " << i;
+        }
+        ExpectSameState(filled.state(), reference.state());
+        // The next draws agree too, cache first.
+        EXPECT_EQ(filled.Gaussian(), reference.Gaussian());
+        EXPECT_EQ(filled.Gaussian(), reference.Gaussian());
+      }
+    }
+  }
+}
+
 TEST(RngTest, ForkDecorrelates) {
   Rng parent(5);
   Rng child = parent.Fork();
