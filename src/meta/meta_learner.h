@@ -22,11 +22,12 @@ struct MetaLearnerOptions {
   /// decay of paper Table 5 (W4/W5 fall outside the kernel support).
   double bandwidth = 0.2;
   /// Posterior samples used to estimate P(learner has the lowest ranking
-  /// loss) in the dynamic phase (Section 6.4.2).
+  /// loss) in the dynamic phase (Section 6.4.2). Values below 1 act as 1.
   int ranking_loss_samples = 30;
   /// Cap on the number of target observations entering the O(n²) pairwise
   /// ranking loss; beyond it a random subsample is used (keeps the
-  /// per-iteration cost bounded on long tuning runs). 0 = no cap.
+  /// per-iteration cost bounded on long tuning runs). 0 = no cap; a cap
+  /// of 1 acts as 2, the fewest points that form a pair.
   int ranking_loss_max_points = 64;
   /// Eq. 7: variance comes from the target base-learner only. Setting this
   /// false uses the weight-averaged base variances instead (ablation).
