@@ -137,41 +137,4 @@ std::vector<double> PenalizedExpectedImprovementBatch(
   return out;
 }
 
-double ProbabilityOfImprovement(const GpPrediction& res, double best) {
-  const double sigma = res.stddev();
-  if (sigma < 1e-12) return res.mean < best ? 1.0 : 0.0;
-  return NormalCdf((best - res.mean) / sigma);
-}
-
-double LowerConfidenceBound(const GpPrediction& res, double beta) {
-  return -(res.mean - beta * res.stddev());
-}
-
-double ConstrainedProbabilityOfImprovement(const Surrogate& surrogate,
-                                           const Vector& theta,
-                                           const AcquisitionContext& ctx) {
-  const GpPrediction tps = surrogate.PredictMetric(MetricKind::kTps, theta);
-  const GpPrediction lat = surrogate.PredictMetric(MetricKind::kLat, theta);
-  const double p_feasible =
-      ProbabilityOfFeasibility(tps, lat, ctx.lambda_tps, ctx.lambda_lat);
-  if (!ctx.has_feasible) return p_feasible;
-  const GpPrediction res = surrogate.PredictMetric(MetricKind::kRes, theta);
-  return p_feasible * ProbabilityOfImprovement(res, ctx.best_feasible_res);
-}
-
-double ConstrainedLowerConfidenceBound(const Surrogate& surrogate,
-                                       const Vector& theta,
-                                       const AcquisitionContext& ctx,
-                                       double beta) {
-  const GpPrediction tps = surrogate.PredictMetric(MetricKind::kTps, theta);
-  const GpPrediction lat = surrogate.PredictMetric(MetricKind::kLat, theta);
-  const double p_feasible =
-      ProbabilityOfFeasibility(tps, lat, ctx.lambda_tps, ctx.lambda_lat);
-  const GpPrediction res = surrogate.PredictMetric(MetricKind::kRes, theta);
-  // Shift LCB to be positive before weighting so the feasibility factor
-  // cannot flip its sign ordering.
-  const double lcb = LowerConfidenceBound(res, beta);
-  return p_feasible * (1.0 / (1.0 + std::exp(-lcb)));
-}
-
 }  // namespace restune

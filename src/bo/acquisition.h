@@ -73,26 +73,6 @@ std::vector<double> PenalizedExpectedImprovementBatch(
     const AcquisitionContext& ctx, double penalty,
     ThreadPool* pool = nullptr);
 
-/// Probability of improvement over the incumbent, for a minimization
-/// objective: Pr[f < best]. Cheaper but more exploitative than EI.
-double ProbabilityOfImprovement(const GpPrediction& res, double best);
-
-/// Lower confidence bound -(mean - beta * stddev) as a maximization
-/// acquisition for a minimization objective. `beta` trades exploration
-/// (large) against exploitation (small); GP-UCB theory suggests growing it
-/// logarithmically with the iteration count.
-double LowerConfidenceBound(const GpPrediction& res, double beta);
-
-/// Constrained variants: the feasibility-probability weight of Eq. 5
-/// applied to PI / LCB instead of EI (ablation alternatives to CEI).
-double ConstrainedProbabilityOfImprovement(const Surrogate& surrogate,
-                                           const Vector& theta,
-                                           const AcquisitionContext& ctx);
-double ConstrainedLowerConfidenceBound(const Surrogate& surrogate,
-                                       const Vector& theta,
-                                       const AcquisitionContext& ctx,
-                                       double beta);
-
 }  // namespace restune
 
 #endif  // RESTUNE_BO_ACQUISITION_H_

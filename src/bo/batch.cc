@@ -1,6 +1,5 @@
 #include "bo/batch.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace restune {
@@ -19,52 +18,6 @@ void PenalizeNearPoints(const Matrix& thetas, const std::vector<Vector>& points,
       if (d2 < radius_sq) (*values)[r] *= std::sqrt(d2 / radius_sq);
     }
   }
-}
-
-std::vector<Vector> ProposeBatch(
-    const std::function<double(const Vector&)>& acquisition, size_t dim,
-    size_t batch_size, Rng* rng, const BatchProposalOptions& options) {
-  std::vector<Vector> batch;
-  batch.reserve(batch_size);
-  const double radius_sq = options.penalty_radius * options.penalty_radius;
-
-  for (size_t b = 0; b < batch_size; ++b) {
-    auto penalized = [&](const Vector& theta) {
-      double value = acquisition(theta);
-      // Multiplicative damping: zero at an already-chosen (or still-pending)
-      // point, back to full strength at the penalty radius.
-      auto damp = [&](const Vector& chosen) {
-        const double d2 = SquaredDistance(theta, chosen);
-        if (d2 < radius_sq) value *= std::sqrt(d2 / radius_sq);
-      };
-      for (const Vector& chosen : options.pending) damp(chosen);
-      for (const Vector& chosen : batch) damp(chosen);
-      return value;
-    };
-    batch.push_back(
-        MaximizeAcquisition(penalized, dim, rng, options.acq_optimizer));
-  }
-  return batch;
-}
-
-std::vector<Vector> ProposeBatch(const BatchAcquisitionFn& acquisition,
-                                 size_t dim, size_t batch_size, Rng* rng,
-                                 const BatchProposalOptions& options) {
-  std::vector<Vector> batch;
-  batch.reserve(batch_size);
-
-  for (size_t b = 0; b < batch_size; ++b) {
-    auto penalized = [&](const Matrix& thetas) {
-      std::vector<double> values = acquisition(thetas);
-      PenalizeNearPoints(thetas, options.pending, options.penalty_radius,
-                         &values);
-      PenalizeNearPoints(thetas, batch, options.penalty_radius, &values);
-      return values;
-    };
-    batch.push_back(
-        MaximizeAcquisitionBatch(penalized, dim, rng, options.acq_optimizer));
-  }
-  return batch;
 }
 
 }  // namespace restune

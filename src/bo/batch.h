@@ -1,54 +1,19 @@
 #ifndef RESTUNE_BO_BATCH_H_
 #define RESTUNE_BO_BATCH_H_
 
-#include <functional>
 #include <vector>
 
-#include "bo/acq_optimizer.h"
-#include "common/rng.h"
 #include "linalg/matrix.h"
 
 namespace restune {
 
-/// Options for batch proposal.
-struct BatchProposalOptions {
-  /// Radius (in normalized knob space) inside which an already-selected
-  /// point suppresses the acquisition.
-  double penalty_radius = 0.15;
-  /// Configurations already in flight (posted to evaluators but not yet
-  /// observed). They penalize the acquisition exactly like points chosen
-  /// earlier in this batch, so speculative asynchronous proposals do not
-  /// collapse onto a pending evaluation (constant-liar-style local
-  /// penalization).
-  std::vector<Vector> pending;
-  AcqOptimizerOptions acq_optimizer;
-};
-
 /// Multiplicative local penalization: damps `values[r]` toward zero as row r
 /// of `thetas` approaches any point in `points`, reaching zero at distance 0
-/// and full strength at `radius`. The building block shared by ProposeBatch
-/// and the advisors' pending-aware suggestion path.
+/// and full strength at `radius`. The suggestion step applies it around
+/// pending (in-flight) configurations, so speculative proposals diversify
+/// instead of collapsing onto an evaluation still under way.
 void PenalizeNearPoints(const Matrix& thetas, const std::vector<Vector>& points,
                         double radius, std::vector<double>* values);
-
-/// Proposes `batch_size` configurations to evaluate in parallel from a
-/// single acquisition function, via local penalization: after each pick the
-/// acquisition is damped near the chosen point so the next pick explores a
-/// different region.
-///
-/// Cloud deployments can spin up several DBMS copy instances at once; a
-/// batch of diverse candidates turns each tuning iteration's dominant cost
-/// — the workload replay (paper Table 3) — into parallel work.
-std::vector<Vector> ProposeBatch(
-    const std::function<double(const Vector&)>& acquisition, size_t dim,
-    size_t batch_size, Rng* rng, const BatchProposalOptions& options = {});
-
-/// Batch-acquisition overload: candidate sweeps run through the surrogate's
-/// matrix-level inference path, with the penalization applied to the block
-/// of acquisition values after each sweep.
-std::vector<Vector> ProposeBatch(const BatchAcquisitionFn& acquisition,
-                                 size_t dim, size_t batch_size, Rng* rng,
-                                 const BatchProposalOptions& options = {});
 
 }  // namespace restune
 

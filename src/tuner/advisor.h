@@ -25,17 +25,45 @@ inline Vector ClampToTrustRegion(const Vector& theta, const Vector& center,
   return out;
 }
 
-/// A knob-recommendation strategy. The `EventTuningSession` drives the loop:
+/// What one suggestion must respect besides the advisor's own state: the
+/// configurations still being evaluated, and the safety trust region while
+/// the ladder is constrained. `{}` is the paper's sequential case: nothing
+/// pending and the full knob box.
+struct SuggestionRequest {
+  /// Launched but not yet completed configurations. Surrogate advisors damp
+  /// their acquisition near each one (constant-liar-style local
+  /// penalization), so concurrent proposals diversify instead of
+  /// collapsing onto one optimum.
+  std::vector<Vector> pending;
+  /// Center of the L∞ trust region; empty when there is none.
+  Vector trust_center;
+  double trust_radius = 0.0;
+
+  bool has_trust_region() const { return !trust_center.empty(); }
+  /// θ clamped into the trust region, or θ itself when there is none.
+  Vector Clamp(const Vector& theta) const {
+    return has_trust_region()
+               ? ClampToTrustRegion(theta, trust_center, trust_radius)
+               : theta;
+  }
+};
+
+/// A knob-recommendation strategy. `SessionCore` drives the loop:
 ///
 ///   Begin(default observation, SLA)            — once
-///   repeat: θ = SuggestNextAsync(pending); Observe(eval(θ))
+///   repeat: θ = SuggestNextAsync(request); Observe(eval(θ))
 ///
-/// With `SequentialSessionOptions()` nothing is ever pending, so this is the
-/// paper's sequential loop `θ = SuggestNext(); Observe(eval(θ))`.
+/// The request carries the pending θ and, while the ladder is constrained,
+/// the trust region; the core clamps every suggestion into that region
+/// whatever the advisor did with it. With `SequentialSessionOptions()`
+/// every request is empty, so this is the paper's sequential loop
+/// `θ = SuggestNext(); Observe(eval(θ))`.
 ///
 /// Implementations: ResTune (meta-learned CBO), plain CBO (ResTune-w/o-ML),
 /// iTuned (unconstrained EI), OtterTune-w-Con (workload mapping + CEI),
-/// CDBTune-w-Con (DDPG), and grid search.
+/// CDBTune-w-Con (DDPG), and grid search. The three surrogate advisors
+/// share one `SuggestionStep` (tuner/suggestion_step.h) and differ only in
+/// their surrogate and acquisition context.
 class Advisor {
  public:
   virtual ~Advisor() = default;
@@ -47,28 +75,13 @@ class Advisor {
   virtual Status Begin(const Observation& default_observation,
                        const SlaConstraints& sla) = 0;
 
-  /// Proposes the next normalized configuration to evaluate.
-  virtual Result<Vector> SuggestNext() = 0;
+  /// Proposes the next normalized configuration to evaluate under
+  /// `request`. kOutOfRange means the advisor is exhausted.
+  virtual Result<Vector> SuggestNextAsync(
+      const SuggestionRequest& request) = 0;
 
-  /// Speculative suggestion while `pending` configurations are still being
-  /// evaluated: the acquisition is locally penalized near each pending
-  /// point (constant-liar-style), so concurrent asynchronous proposals
-  /// diversify instead of collapsing onto one optimum. The default ignores
-  /// `pending` and delegates to SuggestNext() — bitwise identical to the
-  /// synchronous path when `pending` is empty.
-  virtual Result<Vector> SuggestNextAsync(const std::vector<Vector>& pending) {
-    (void)pending;
-    return SuggestNext();
-  }
-
-  /// Installs a safety trust region: until cleared, every suggestion is
-  /// clamped into the L∞ box [center - radius, center + radius] ∩ [0,1]^d.
-  /// Default no-op for baselines without the safety path.
-  virtual void SetTrustRegion(const Vector& center, double radius) {
-    (void)center;
-    (void)radius;
-  }
-  virtual void ClearTrustRegion() {}
+  /// The sequential suggestion: nothing pending, no trust region.
+  Result<Vector> SuggestNext() { return SuggestNextAsync({}); }
 
   /// Feeds back the evaluation result of the last suggestion.
   virtual Status Observe(const Observation& observation) = 0;

@@ -1,7 +1,5 @@
 #include "tuner/cbo_advisor.h"
 
-#include "bo/batch.h"
-#include "bo/lhs.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -12,9 +10,8 @@ CboAdvisor::CboAdvisor(std::string name, size_t dim,
     : name_(std::move(name)),
       dim_(dim),
       options_(options),
-      rng_(options.seed),
+      step_(dim, options.seed, options.quarantine, options.acq_optimizer),
       gp_(dim, options.gp),
-      quarantine_(options.quarantine),
       exact_surrogate_(&gp_) {
   if (options_.surrogate_backend != SurrogateBackend::kExactGp) {
     ScalableSurrogateOptions so;
@@ -29,8 +26,7 @@ CboAdvisor::CboAdvisor(std::string name, size_t dim,
 Status CboAdvisor::Begin(const Observation& default_observation,
                          const SlaConstraints& sla) {
   sla_ = sla;
-  pending_lhs_ = LatinHypercubeSample(
-      static_cast<size_t>(options_.initial_lhs_samples), dim_, &rng_);
+  step_.QueueDesign(static_cast<size_t>(options_.initial_lhs_samples));
   return Observe(default_observation);
 }
 
@@ -52,37 +48,23 @@ AcquisitionContext CboAdvisor::MakeContext() const {
   return ctx;
 }
 
-Result<Vector> CboAdvisor::SuggestNext() {
+Result<Vector> CboAdvisor::SuggestNextAsync(const SuggestionRequest& request) {
   RESTUNE_TRACE_SPAN("advisor.suggest");
   static obs::Counter* suggestions =
       obs::MetricsRegistry::Global()->GetCounter(
           "restune_advisor_suggestions_total{advisor=\"cbo\"}");
   suggestions->Add();
-  // Pending LHS points that landed inside a quarantined region (a config
-  // nearby crashed since the design was drawn) are skipped, not evaluated.
-  // An active trust region clamps the design point like any suggestion.
-  while (!pending_lhs_.empty()) {
-    Vector next = pending_lhs_.back();
-    pending_lhs_.pop_back();
-    if (trust_region_active_) {
-      next = ClampToTrustRegion(next, trust_center_, trust_radius_);
-    }
-    if (!quarantine_.empty() && quarantine_.Contains(next)) continue;
-    return next;
+  if (std::optional<Vector> design = step_.NextDesignPoint(request)) {
+    return *std::move(design);
   }
-  const Surrogate* surrogate_ptr = nullptr;
-  {
-    Result<const Surrogate*> active = ActiveSurrogate();
-    if (!active.ok()) return active.status();
-    surrogate_ptr = active.value();
-  }
-  const Surrogate& surrogate = *surrogate_ptr;
+  RESTUNE_ASSIGN_OR_RETURN(const Surrogate* const active, ActiveSurrogate());
+  const Surrogate& surrogate = *active;
   const AcquisitionContext ctx = MakeContext();
   // The optimizer's pool drives the surrogate's batch inference too, so
   // the candidate sweep parallelizes instead of bottlenecking on the
   // calling thread (predictions are pool-size invariant).
   ThreadPool* acq_pool = options_.acq_optimizer.pool;
-  auto acquisition = [&, acq_pool](const Matrix& thetas) {
+  return step_.Maximize(request, [&, acq_pool](const Matrix& thetas) {
     std::vector<double> values;
     switch (options_.acquisition) {
       case CboAcquisition::kConstrainedEi:
@@ -99,39 +81,9 @@ Result<Vector> CboAdvisor::SuggestNext() {
         break;
     }
     if (values.empty()) values.assign(thetas.rows(), 0.0);
-    PenalizeNearPoints(thetas, pending_penalty_,
-                       options_.pending_penalty_radius, &values);
     return values;
-  };
-  AcqOptimizerOptions acq_options = options_.acq_optimizer;
-  if (!quarantine_.empty()) {
-    acq_options.reject = [this](const Vector& theta) {
-      return quarantine_.Contains(theta);
-    };
-  }
-  if (trust_region_active_) {
-    acq_options.project = [this](const Vector& theta) {
-      return ClampToTrustRegion(theta, trust_center_, trust_radius_);
-    };
-  }
-  return MaximizeAcquisitionBatch(acquisition, dim_, &rng_, acq_options);
+  });
 }
-
-Result<Vector> CboAdvisor::SuggestNextAsync(
-    const std::vector<Vector>& pending) {
-  pending_penalty_ = pending;
-  Result<Vector> next = SuggestNext();
-  pending_penalty_.clear();
-  return next;
-}
-
-void CboAdvisor::SetTrustRegion(const Vector& center, double radius) {
-  trust_region_active_ = true;
-  trust_center_ = center;
-  trust_radius_ = radius;
-}
-
-void CboAdvisor::ClearTrustRegion() { trust_region_active_ = false; }
 
 Result<const Surrogate*> CboAdvisor::ActiveSurrogate() {
   if (approx_ == nullptr) {
@@ -174,10 +126,7 @@ Status CboAdvisor::ObserveFailure(const Vector& theta,
   }
   // Fatal kinds (the DBMS died or hung) quarantine the surrounding knob box
   // so acquisition maximization never proposes an adjacent configuration.
-  if (fault.kind == FaultKind::kCrash || fault.kind == FaultKind::kTimeout ||
-      fault.kind == FaultKind::kStall) {
-    quarantine_.Add(theta);
-  }
+  step_.ObserveFailure(theta, fault.kind);
   // The failed configuration enters the constraint models as a hard SLA
   // violation (zero throughput, double the latency bound) — evidence that
   // this region is infeasible — but never the resource model, which must

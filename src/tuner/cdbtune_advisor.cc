@@ -57,12 +57,13 @@ Status CdbTuneAdvisor::Begin(const Observation& default_observation,
   return Status::OK();
 }
 
-Result<Vector> CdbTuneAdvisor::SuggestNext() {
+Result<Vector> CdbTuneAdvisor::SuggestNextAsync(
+    const SuggestionRequest& request) {
   RESTUNE_TRACE_SPAN("advisor.suggest");
   if (!agent_) {
     return Status::FailedPrecondition("call Begin first");
   }
-  last_action_ = agent_->ActWithNoise(previous_state_);
+  last_action_ = request.Clamp(agent_->ActWithNoise(previous_state_));
   return last_action_;
 }
 

@@ -27,7 +27,9 @@ class CdbTuneAdvisor : public Advisor {
   const std::string& name() const override { return name_; }
   Status Begin(const Observation& default_observation,
                const SlaConstraints& sla) override;
-  Result<Vector> SuggestNext() override;
+  /// The actor's noisy action, clamped into the request's trust region so
+  /// the replay memory holds the configuration actually evaluated.
+  Result<Vector> SuggestNextAsync(const SuggestionRequest& request) override;
   Status Observe(const Observation& observation) override;
 
   /// The reward value computed for the most recent observation.

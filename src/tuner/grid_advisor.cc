@@ -17,7 +17,7 @@ Status GridSearchAdvisor::Begin(const Observation&, const SlaConstraints&) {
   return Status::OK();
 }
 
-Result<Vector> GridSearchAdvisor::SuggestNext() {
+Result<Vector> GridSearchAdvisor::SuggestNextAsync(const SuggestionRequest&) {
   if (exhausted()) {
     return Status::OutOfRange("grid exhausted");
   }

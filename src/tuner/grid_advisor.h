@@ -19,7 +19,9 @@ class GridSearchAdvisor : public Advisor {
   const std::string& name() const override { return name_; }
   Status Begin(const Observation& default_observation,
                const SlaConstraints& sla) override;
-  Result<Vector> SuggestNext() override;
+  /// Ignores the request: the session core clamps grid points into an
+  /// active trust region.
+  Result<Vector> SuggestNextAsync(const SuggestionRequest& request) override;
   Status Observe(const Observation& observation) override;
 
   size_t total_points() const { return total_; }

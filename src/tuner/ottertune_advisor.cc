@@ -3,7 +3,7 @@
 #include <cmath>
 #include <limits>
 
-#include "bo/lhs.h"
+#include "bo/acquisition.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -37,15 +37,14 @@ OtterTuneAdvisor::OtterTuneAdvisor(size_t dim,
     : dim_(dim),
       tasks_(std::move(repository_tasks)),
       options_(options),
-      rng_(options.seed) {
+      step_(dim, options.seed, QuarantineOptions{}, options.acq_optimizer) {
   gp_ = std::make_unique<MultiOutputGp>(dim_, options_.gp);
 }
 
 Status OtterTuneAdvisor::Begin(const Observation& default_observation,
                                const SlaConstraints& sla) {
   sla_ = sla;
-  pending_lhs_ = LatinHypercubeSample(
-      static_cast<size_t>(options_.initial_lhs_samples), dim_, &rng_);
+  step_.QueueDesign(static_cast<size_t>(options_.initial_lhs_samples));
   return Observe(default_observation);
 }
 
@@ -91,16 +90,15 @@ Status OtterTuneAdvisor::RefitModel() {
   return gp_->Fit(training);
 }
 
-Result<Vector> OtterTuneAdvisor::SuggestNext() {
+Result<Vector> OtterTuneAdvisor::SuggestNextAsync(
+    const SuggestionRequest& request) {
   RESTUNE_TRACE_SPAN("advisor.suggest");
   static obs::Counter* suggestions =
       obs::MetricsRegistry::Global()->GetCounter(
           "restune_advisor_suggestions_total{advisor=\"ottertune\"}");
   suggestions->Add();
-  if (!pending_lhs_.empty()) {
-    Vector next = pending_lhs_.back();
-    pending_lhs_.pop_back();
-    return next;
+  if (std::optional<Vector> design = step_.NextDesignPoint(request)) {
+    return *std::move(design);
   }
   if (!gp_->fitted()) {
     return Status::FailedPrecondition("no observations yet; call Begin first");
@@ -116,12 +114,10 @@ Result<Vector> OtterTuneAdvisor::SuggestNext() {
       ctx.best_feasible_res = obs.res;
     }
   }
-  auto acquisition = [&](const Matrix& thetas) {
+  return step_.Maximize(request, [&](const Matrix& thetas) {
     return ConstrainedExpectedImprovementBatch(surrogate, thetas, ctx,
                                                options_.acq_optimizer.pool);
-  };
-  return MaximizeAcquisitionBatch(acquisition, dim_, &rng_,
-                                  options_.acq_optimizer);
+  });
 }
 
 Status OtterTuneAdvisor::Observe(const Observation& observation) {

@@ -5,11 +5,10 @@
 #include <vector>
 
 #include "bo/acq_optimizer.h"
-#include "bo/acquisition.h"
-#include "common/rng.h"
 #include "gp/multi_output_gp.h"
 #include "meta/task.h"
 #include "tuner/advisor.h"
+#include "tuner/suggestion_step.h"
 
 namespace restune {
 
@@ -42,7 +41,7 @@ class OtterTuneAdvisor : public Advisor {
   const std::string& name() const override { return name_; }
   Status Begin(const Observation& default_observation,
                const SlaConstraints& sla) override;
-  Result<Vector> SuggestNext() override;
+  Result<Vector> SuggestNextAsync(const SuggestionRequest& request) override;
   Status Observe(const Observation& observation) override;
 
   /// Index of the currently mapped task, or -1 if none.
@@ -56,11 +55,11 @@ class OtterTuneAdvisor : public Advisor {
   size_t dim_;
   std::vector<TuningTask> tasks_;
   OtterTuneAdvisorOptions options_;
-  Rng rng_;
+  /// Never fed failures: the baseline has no quarantine.
+  SuggestionStep step_;
   std::unique_ptr<MultiOutputGp> gp_;
   SlaConstraints sla_;
   std::vector<Observation> history_;
-  std::vector<Vector> pending_lhs_;
   int mapped_task_ = -1;
   int observations_since_remap_ = 0;
 };

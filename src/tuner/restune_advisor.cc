@@ -1,7 +1,6 @@
 #include "tuner/restune_advisor.h"
 
-#include "bo/batch.h"
-#include "bo/lhs.h"
+#include "bo/acquisition.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -24,8 +23,7 @@ ResTuneAdvisor::ResTuneAdvisor(size_t dim, Vector default_theta,
     : dim_(dim),
       default_theta_(std::move(default_theta)),
       options_(options),
-      rng_(options.seed),
-      quarantine_(options.quarantine) {
+      step_(dim, options.seed, options.quarantine, options.acq_optimizer) {
   MetaLearnerOptions meta_options = options_.meta;
   meta_options.seed = options_.seed ^ 0x9e3779b9;
   meta_learner_ = std::make_unique<MetaLearner>(
@@ -37,27 +35,18 @@ Status ResTuneAdvisor::Begin(const Observation& default_observation,
                              const SlaConstraints& sla) {
   sla_ = sla;
   if (!options_.workload_characterization_init) {
-    pending_lhs_ = LatinHypercubeSample(
-        static_cast<size_t>(options_.meta.static_weight_iterations), dim_,
-        &rng_);
+    step_.QueueDesign(
+        static_cast<size_t>(options_.meta.static_weight_iterations));
   }
   return Observe(default_observation);
 }
 
-Result<Vector> ResTuneAdvisor::SuggestNext() {
+Result<Vector> ResTuneAdvisor::SuggestNextAsync(
+    const SuggestionRequest& request) {
   RESTUNE_TRACE_SPAN("advisor.suggest");
   SuggestionsCounter()->Add();
-  // Pending LHS points inside a quarantined region (a nearby config crashed
-  // since the design was drawn) are skipped, not evaluated. An active trust
-  // region clamps the design point like any other suggestion.
-  while (!pending_lhs_.empty()) {
-    Vector next = pending_lhs_.back();
-    pending_lhs_.pop_back();
-    if (trust_region_active_) {
-      next = ClampToTrustRegion(next, trust_center_, trust_radius_);
-    }
-    if (!quarantine_.empty() && quarantine_.Contains(next)) continue;
-    return next;
+  if (std::optional<Vector> design = step_.NextDesignPoint(request)) {
+    return *std::move(design);
   }
   if (history_.empty()) {
     return Status::FailedPrecondition("no observations yet; call Begin first");
@@ -92,44 +81,12 @@ Result<Vector> ResTuneAdvisor::SuggestNext() {
 
   // Batch acquisition: the whole candidate block flows through the
   // ensemble's matrix-level GP inference in one call per member, spread
-  // over the acquisition optimizer's pool. Pending in-flight points damp
-  // the acquisition locally so speculative proposals diversify.
-  auto acquisition = [&](const Matrix& thetas) {
-    std::vector<double> values = ConstrainedExpectedImprovementBatch(
-        *meta_learner_, thetas, ctx, options_.acq_optimizer.pool);
-    PenalizeNearPoints(thetas, pending_penalty_,
-                       options_.pending_penalty_radius, &values);
-    return values;
-  };
-  AcqOptimizerOptions acq_options = options_.acq_optimizer;
-  if (!quarantine_.empty()) {
-    acq_options.reject = [this](const Vector& theta) {
-      return quarantine_.Contains(theta);
-    };
-  }
-  if (trust_region_active_) {
-    acq_options.project = [this](const Vector& theta) {
-      return ClampToTrustRegion(theta, trust_center_, trust_radius_);
-    };
-  }
-  return MaximizeAcquisitionBatch(acquisition, dim_, &rng_, acq_options);
+  // over the acquisition optimizer's pool.
+  return step_.Maximize(request, [&](const Matrix& thetas) {
+    return ConstrainedExpectedImprovementBatch(*meta_learner_, thetas, ctx,
+                                               options_.acq_optimizer.pool);
+  });
 }
-
-Result<Vector> ResTuneAdvisor::SuggestNextAsync(
-    const std::vector<Vector>& pending) {
-  pending_penalty_ = pending;
-  Result<Vector> next = SuggestNext();
-  pending_penalty_.clear();
-  return next;
-}
-
-void ResTuneAdvisor::SetTrustRegion(const Vector& center, double radius) {
-  trust_region_active_ = true;
-  trust_center_ = center;
-  trust_radius_ = radius;
-}
-
-void ResTuneAdvisor::ClearTrustRegion() { trust_region_active_ = false; }
 
 Status ResTuneAdvisor::Observe(const Observation& observation) {
   // Table 3's meta-data processing is the `meta.base_predictions` and
@@ -145,10 +102,7 @@ Status ResTuneAdvisor::ObserveFailure(const Vector& theta,
   if (theta.size() != dim_) {
     return Status::InvalidArgument("failure theta dimension mismatch");
   }
-  if (fault.kind == FaultKind::kCrash || fault.kind == FaultKind::kTimeout ||
-      fault.kind == FaultKind::kStall) {
-    quarantine_.Add(theta);
-  }
+  step_.ObserveFailure(theta, fault.kind);
   // A failed configuration is a hard SLA violation for the ensemble's
   // constraint outputs (zero throughput, double the latency bound); the
   // resource output never sees it.

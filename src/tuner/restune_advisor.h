@@ -5,11 +5,10 @@
 #include <vector>
 
 #include "bo/acq_optimizer.h"
-#include "bo/acquisition.h"
-#include "common/rng.h"
 #include "meta/meta_learner.h"
 #include "tuner/advisor.h"
 #include "tuner/quarantine.h"
+#include "tuner/suggestion_step.h"
 
 namespace restune {
 
@@ -24,9 +23,6 @@ struct ResTuneAdvisorOptions {
   uint64_t seed = 23;
   /// Knob-region quarantine around crashed/timed-out configurations.
   QuarantineOptions quarantine;
-  /// Local-penalization radius around pending (in-flight) configurations
-  /// for SuggestNextAsync.
-  double pending_penalty_radius = 0.15;
 };
 
 /// The full ResTune tuner: constrained BO (Section 5) on the meta-learner
@@ -44,33 +40,23 @@ class ResTuneAdvisor : public Advisor {
   const std::string& name() const override { return name_; }
   Status Begin(const Observation& default_observation,
                const SlaConstraints& sla) override;
-  Result<Vector> SuggestNext() override;
-  Result<Vector> SuggestNextAsync(const std::vector<Vector>& pending) override;
+  Result<Vector> SuggestNextAsync(const SuggestionRequest& request) override;
   Status Observe(const Observation& observation) override;
   Status ObserveFailure(const Vector& theta,
                         const EvaluationFault& fault) override;
-  void SetTrustRegion(const Vector& center, double radius) override;
-  void ClearTrustRegion() override;
 
   const MetaLearner& meta_learner() const { return *meta_learner_; }
-  const KnobQuarantine& quarantine() const { return quarantine_; }
+  const KnobQuarantine& quarantine() const { return step_.quarantine(); }
 
  private:
   std::string name_ = "ResTune";
   size_t dim_;
   Vector default_theta_;
   ResTuneAdvisorOptions options_;
-  Rng rng_;
+  SuggestionStep step_;
   std::unique_ptr<MetaLearner> meta_learner_;
   SlaConstraints sla_;
-  KnobQuarantine quarantine_;
   std::vector<Observation> history_;
-  std::vector<Vector> pending_lhs_;
-  /// In-flight configurations penalizing the current SuggestNextAsync call.
-  std::vector<Vector> pending_penalty_;
-  bool trust_region_active_ = false;
-  Vector trust_center_;
-  double trust_radius_ = 1.0;
 };
 
 }  // namespace restune

@@ -50,16 +50,20 @@ bool SessionCore::Feasible(const CompletionOutcome& outcome) const {
 }
 
 Result<Vector> SessionCore::Suggest(SessionMode mode) {
+  SuggestionRequest request;
+  request.pending.reserve(outstanding_.size());
+  for (const auto& [seq, theta] : outstanding_) request.pending.push_back(theta);
   if (mode == SessionMode::kConstrained) {
-    advisor_->SetTrustRegion(safety_.safe_theta(), safety_.trust_radius());
-  } else {
-    advisor_->ClearTrustRegion();
+    request.trust_center = safety_.safe_theta();
+    request.trust_radius = safety_.trust_radius();
   }
-  std::vector<Vector> pending;
-  pending.reserve(outstanding_.size());
-  for (const auto& [seq, theta] : outstanding_) pending.push_back(theta);
-  Result<Vector> theta = advisor_->SuggestNextAsync(pending);
-  if (theta.ok()) RESTUNE_DCHECK_ALL_FINITE(*theta);
+  Result<Vector> theta = advisor_->SuggestNextAsync(request);
+  if (!theta.ok()) return theta;
+  // Every suggestion lands in the trust region, whatever the advisor made
+  // of the request. The surrogate advisors already project into it, and
+  // clamping a point inside the box keeps its bits.
+  *theta = request.Clamp(*theta);
+  RESTUNE_DCHECK_ALL_FINITE(*theta);
   return theta;
 }
 

@@ -20,9 +20,12 @@ namespace restune {
 /// `ResTuneServer` from wire requests.
 ///
 /// The core owns the degraded-mode ladder (tuner/safety.h), the
-/// outstanding launches (seq → θ in seq order, the pending set every
-/// suggestion is penalized near), the best strictly feasible config, and
-/// the totally ordered launch/completion log. The log is the durable form:
+/// outstanding launches (seq → θ in seq order), the best strictly feasible
+/// config, and the totally ordered launch/completion log. Each suggestion
+/// is one `SuggestionRequest` the core builds from that state: the
+/// outstanding θ as pending points and, while constrained, the trust
+/// region around the safe config, into which the core clamps whatever the
+/// advisor returns. The log is the durable form:
 /// `Replay` rebuilds everything from it through a freshly constructed
 /// advisor. The core neither evaluates nor persists, and emits no metrics
 /// or trace events beyond the ladder's own metrics; its drivers do.
@@ -88,7 +91,9 @@ class SessionCore {
   int best_completion() const { return best_completion_; }
 
  private:
-  /// The advisor's suggestion in `mode`, penalized near the outstanding θ.
+  /// The advisor's answer to the request for `mode`: the outstanding θ
+  /// pending and, when constrained, the trust region, which the answer is
+  /// clamped into.
   Result<Vector> Suggest(SessionMode mode);
   /// Logs a launch of `theta` and registers it as outstanding.
   EventRecord AppendLaunch(Vector theta, bool frozen, SessionMode mode);

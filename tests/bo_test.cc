@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "bo/acq_optimizer.h"
-#include "bo/batch.h"
 #include "bo/acquisition.h"
 #include "bo/lhs.h"
 #include "bo/surrogate.h"
@@ -415,74 +414,6 @@ TEST(AcqOptimizerTest, DegenerateOptionsStillReturnAnInBoxPoint) {
     EXPECT_GE(v, 0.0);
     EXPECT_LE(v, 1.0);
   }
-}
-
-
-TEST(ProbabilityOfImprovementTest, KnownValues) {
-  EXPECT_NEAR(ProbabilityOfImprovement({5.0, 4.0}, 5.0), 0.5, 1e-9);
-  EXPECT_DOUBLE_EQ(ProbabilityOfImprovement({3.0, 0.0}, 5.0), 1.0);
-  EXPECT_DOUBLE_EQ(ProbabilityOfImprovement({7.0, 0.0}, 5.0), 0.0);
-  // Lower mean -> higher improvement probability.
-  EXPECT_GT(ProbabilityOfImprovement({4.0, 1.0}, 5.0),
-            ProbabilityOfImprovement({4.5, 1.0}, 5.0));
-}
-
-TEST(LowerConfidenceBoundTest, BetaControlsExploration) {
-  const GpPrediction uncertain{10.0, 25.0};
-  const GpPrediction certain{10.0, 0.01};
-  // With exploration, the uncertain point scores higher (lower bound is
-  // more optimistic for minimization).
-  EXPECT_GT(LowerConfidenceBound(uncertain, 2.0),
-            LowerConfidenceBound(certain, 2.0));
-  // With beta = 0 only the mean matters.
-  EXPECT_NEAR(LowerConfidenceBound(uncertain, 0.0),
-              LowerConfidenceBound(certain, 0.0), 1e-9);
-}
-
-TEST(ConstrainedVariantsTest, FeasibilityWeightsApply) {
-  FakeSurrogate surrogate;
-  AcquisitionContext ctx;
-  ctx.has_feasible = true;
-  ctx.best_feasible_res = 0.8;
-  ctx.lambda_tps = 300.0;
-  ctx.lambda_lat = 10.0;
-  // Infeasible minimum scores below a feasible point for both variants.
-  EXPECT_GT(ConstrainedProbabilityOfImprovement(surrogate, {0.4}, ctx),
-            ConstrainedProbabilityOfImprovement(surrogate, {0.05}, ctx));
-  EXPECT_GT(ConstrainedLowerConfidenceBound(surrogate, {0.4}, ctx, 2.0),
-            ConstrainedLowerConfidenceBound(surrogate, {0.05}, ctx, 2.0));
-}
-
-
-TEST(BatchProposalTest, PointsAreDiverse) {
-  Rng rng(6);
-  // Single-peak acquisition: without penalization every pick would land on
-  // the same spot.
-  auto acquisition = [](const Vector& x) {
-    const double dx = x[0] - 0.5, dy = x[1] - 0.5;
-    return std::exp(-10.0 * (dx * dx + dy * dy));
-  };
-  BatchProposalOptions options;
-  options.penalty_radius = 0.2;
-  const auto batch = ProposeBatch(acquisition, 2, 4, &rng, options);
-  ASSERT_EQ(batch.size(), 4u);
-  // First pick is near the peak; subsequent picks keep their distance.
-  EXPECT_NEAR(batch[0][0], 0.5, 0.1);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    for (size_t j = i + 1; j < batch.size(); ++j) {
-      EXPECT_GT(SquaredDistance(batch[i], batch[j]), 0.15 * 0.15 * 0.25)
-          << "picks " << i << " and " << j << " collapsed together";
-    }
-  }
-}
-
-TEST(BatchProposalTest, SingleElementBatchMatchesPlainMaximization) {
-  Rng rng_a(9), rng_b(9);
-  auto acquisition = [](const Vector& x) { return -(x[0] - 0.3) * (x[0] - 0.3); };
-  const auto batch = ProposeBatch(acquisition, 1, 1, &rng_a);
-  const Vector single = MaximizeAcquisition(acquisition, 1, &rng_b);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_NEAR(batch[0][0], single[0], 1e-9);
 }
 
 }  // namespace

@@ -81,6 +81,13 @@ Rules (see docs/CORRECTNESS.md for rationale):
                    Leaf headers themselves may include only other leaf
                    headers. Keeps obs → common → numeric core →
                    tuner/service a DAG the compiler never gets to see.
+  advisor-         No MaximizeAcquisition/MaximizeAcquisitionBatch calls
+  discipline       under src/tuner/ outside the shared suggestion step
+                   (src/tuner/suggestion_step.*). Every surrogate advisor
+                   maximizes through SuggestionStep::Maximize, which
+                   applies the trust region, the quarantine and the
+                   pending-point penalty, so a new advisor cannot grow a
+                   suggest path that ignores them.
   guarded-by-      A class owning a mutex member (restune::Mutex or
   coverage         std::mutex) must annotate at least one member with
                    GUARDED_BY in the same class — a mutex guarding nothing
@@ -594,6 +601,25 @@ def check_obs_discipline(rel, code_lines, raw_lines, findings):
                 "(RESTUNE_TRACE_SPAN, obs/trace.h), not a second timer"))
 
 
+ADVISOR_SCOPE = "src/tuner/"
+ADVISOR_EXEMPT = ("src/tuner/suggestion_step.h", "src/tuner/suggestion_step.cc")
+MAXIMIZE_CALL_PATTERN = re.compile(r"\bMaximizeAcquisition(?:Batch)?\s*\(")
+
+
+def check_advisor_discipline(rel, code_lines, findings):
+    if not rel.startswith(ADVISOR_SCOPE) or rel in ADVISOR_EXEMPT:
+        return
+    for lineno, line in enumerate(code_lines, 1):
+        m = MAXIMIZE_CALL_PATTERN.search(line)
+        if m:
+            findings.append(Finding(
+                rel, lineno, "advisor-discipline",
+                f"'{m.group(0).rstrip('( ')}' called outside the shared "
+                "suggestion step; maximize through SuggestionStep::Maximize "
+                "(tuner/suggestion_step.h) so the trust region, quarantine "
+                "and pending-point penalty apply"))
+
+
 LOCK_EXEMPT = ("src/common/mutex.h",)
 NAKED_LOCK_PATTERN = re.compile(
     r"(?:\.|->)\s*(try_lock|lock|unlock)\s*\(")
@@ -924,6 +950,7 @@ def run_lint_with_usage(paths, root, allowlist_path):
         check_obs_discipline(rel, code_lines, raw_lines, file_findings)
         check_ignored_status(rel, code_text, status_functions, file_findings)
         check_lock_discipline(rel, code_lines, raw_lines, file_findings)
+        check_advisor_discipline(rel, code_lines, file_findings)
         check_net_discipline(rel, code_lines, raw_lines, file_findings)
         check_memory_order(rel, code_text, file_findings)
         check_layering(rel, raw_lines, layering, file_findings)

@@ -556,6 +556,48 @@ def test_unbounded_wait_honors_inline_suppression():
         t.cleanup()
 
 
+def test_advisor_discipline_flags_maximize_calls_in_advisors():
+    t = FixtureTree()
+    try:
+        t.write("src/tuner/forest_advisor.cc", """\
+            #include "bo/acq_optimizer.h"
+            Vector Suggest(Rng* rng) {
+              return MaximizeAcquisitionBatch(acquisition, 3, rng);
+            }
+            Vector SuggestScalar(Rng* rng) {
+              return MaximizeAcquisition (scalar, 3, rng);
+            }
+            """)
+        findings = t.lint()
+        assert rules_of(findings) == ["advisor-discipline"]
+        assert [line for _r, line, _p in findings] == [3, 6]
+    finally:
+        t.cleanup()
+
+
+def test_advisor_discipline_allows_the_step_and_other_modules():
+    t = FixtureTree()
+    try:
+        t.write("src/tuner/suggestion_step.cc", """\
+            Vector Maximize() {
+              return MaximizeAcquisitionBatch(penalized, 3, &rng_, options);
+            }
+            """)
+        t.write("src/tuner/cbo_advisor.cc", """\
+            // Scores candidates for SuggestionStep, which calls
+            // MaximizeAcquisitionBatch(...) on our behalf.
+            Vector Suggest() { return step_.Maximize(request, acq); }
+            """)
+        t.write("src/bo/acq_optimizer.cc", """\
+            Vector MaximizeAcquisition(const Fn& f, size_t dim, Rng* rng) {
+              return MaximizeAcquisitionBatch(Wrap(f), dim, rng);
+            }
+            """)
+        assert t.lint() == []
+    finally:
+        t.cleanup()
+
+
 def test_lock_discipline_flags_naked_locks_and_std_guards():
     t = FixtureTree()
     try:
