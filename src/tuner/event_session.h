@@ -80,8 +80,8 @@ struct EventSessionProgress {
 /// session clock reaches its delivery time.
 ///
 /// Safety (src/tuner/safety.h): an SLA monitor with hysteresis drives the
-/// healthy → constrained → frozen ladder. While constrained, the advisor's
-/// acquisition sweep is clamped into the L∞ trust region around the best
+/// healthy → constrained → frozen ladder. While constrained, every
+/// suggestion is clamped into the L∞ trust region around the best
 /// known-safe config; while frozen, the session stops consulting the
 /// advisor and probes the safe config until results come back feasible. A
 /// per-evaluation watchdog cancels pending slots that outlive their
