@@ -166,8 +166,8 @@ void RunAcquisitionThroughput(benchmark::State& state, const char* bench_name,
   for (auto _ : state) {
     const auto t0 = std::chrono::steady_clock::now();
     if (batch_path) {
-      auto f = [&](const Matrix& thetas) {
-        return ConstrainedExpectedImprovementBatch(surrogate, thetas, ctx,
+      auto f = [&](const std::vector<Matrix>& blocks) {
+        return ConstrainedExpectedImprovementBatch(surrogate, blocks, ctx,
                                                    &pool);
       };
       benchmark::DoNotOptimize(MaximizeAcquisitionBatch(f, dim, &rng, acq));

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "bo/lhs.h"
 #include "common/contracts.h"
@@ -41,62 +43,88 @@ struct AcqMetrics {
   }
 };
 
-/// Local stencil search from `start`. Each pass scores the full 2*dim
-/// coordinate stencil around the current point as ONE batch call — the
-/// same blocked inference path as the sweep, instead of 2*dim one-row
-/// probes — then moves to the best improving trial. The step halves only
-/// after a pass without improvement, so a productive stride is reused.
-/// Ties break on the lowest stencil row, keeping the search deterministic.
-Scored RefineCandidate(const BatchAcquisitionFn& acquisition, Scored start,
-                       size_t dim, const AcqOptimizerOptions& options) {
-  Scored current = std::move(start);
-  Matrix stencil(2 * dim, dim);
-  double step = options.initial_step;
-  for (int pass = 0; pass < options.refine_passes; ++pass) {
-    for (size_t d = 0; d < dim; ++d) {
-      for (size_t c = 0; c < dim; ++c) {
-        stencil(2 * d, c) = current.x[c];
-        stencil(2 * d + 1, c) = current.x[c];
-      }
-      stencil(2 * d, d) = std::clamp(current.x[d] + step, 0.0, 1.0);
-      stencil(2 * d + 1, d) = std::clamp(current.x[d] - step, 0.0, 1.0);
-    }
-    if (options.project) {
-      // Trust-region (or other) projection: trial points are pulled back
-      // inside the feasible box before scoring, so the search never walks
-      // out of it.
-      for (size_t r = 0; r < stencil.rows(); ++r) {
-        const Vector projected = options.project(stencil.Row(r));
-        for (size_t c = 0; c < dim; ++c) stencil(r, c) = projected[c];
-      }
-    }
-    std::vector<double> values = acquisition(stencil);
-    RESTUNE_DCHECK(values.size() == stencil.rows())
+/// One local coordinate search of the refinement stage.
+struct Search {
+  Scored current;
+  double step;
+};
+
+/// Fails fast on a scored call that breaks the acquisition contract: one
+/// value vector per block, one value per row, and no NaN. NaN never
+/// compares greater, so a poisoned value would silently bias an argmax
+/// toward whatever row happened to come first; the check names the
+/// offending row instead. -inf is legal (it is how the reject hook and
+/// degenerate EI mark dead candidates).
+void CheckScores(const std::vector<Matrix>& blocks,
+                 const std::vector<std::vector<double>>& scores,
+                 const char* stage) {
+  RESTUNE_CHECK(scores.size() == blocks.size())
+      << "acquisition returned " << scores.size() << " value vectors for "
+      << blocks.size() << " " << stage << " blocks";
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    const Matrix& candidates = blocks[b];
+    const std::vector<double>& values = scores[b];
+    RESTUNE_CHECK(values.size() == candidates.rows())
         << "acquisition returned " << values.size() << " values for "
-        << stencil.rows() << " stencil rows";
-    if (options.reject) {
-      for (size_t r = 0; r < stencil.rows(); ++r) {
-        if (options.reject(stencil.Row(r))) {
-          values[r] = -std::numeric_limits<double>::infinity();
-        }
-      }
+        << candidates.rows() << " rows of " << stage << " block " << b;
+    for (size_t r = 0; r < values.size(); ++r) {
+      RESTUNE_CHECK(!std::isnan(values[r]))
+          << "acquisition value at row " << r << " of " << stage << " block "
+          << b << " is NaN; the surrogate produced a non-finite prediction";
     }
-    size_t best_row = stencil.rows();
-    double best_value = current.value;
-    for (size_t r = 0; r < stencil.rows(); ++r) {
-      if (values[r] > best_value) {
-        best_value = values[r];
-        best_row = r;
-      }
-    }
-    if (best_row == stencil.rows()) {
-      step *= 0.5;
-      continue;
-    }
-    for (size_t c = 0; c < dim; ++c) current.x[c] = stencil(best_row, c);
-    current.value = best_value;
   }
-  return current;
+}
+
+/// Writes the 2*dim coordinate stencil around `x` at `step`, each trial
+/// point projected when a projection is set (a trust region pulls trial
+/// points back inside its box, so the search never walks out of it).
+void BuildStencil(const Vector& x, double step,
+                  const AcqOptimizerOptions& options, Matrix* stencil) {
+  const size_t dim = x.size();
+  for (size_t d = 0; d < dim; ++d) {
+    for (size_t c = 0; c < dim; ++c) {
+      (*stencil)(2 * d, c) = x[c];
+      (*stencil)(2 * d + 1, c) = x[c];
+    }
+    (*stencil)(2 * d, d) = std::clamp(x[d] + step, 0.0, 1.0);
+    (*stencil)(2 * d + 1, d) = std::clamp(x[d] - step, 0.0, 1.0);
+  }
+  if (!options.project) return;
+  for (size_t r = 0; r < stencil->rows(); ++r) {
+    const Vector projected = options.project(stencil->Row(r));
+    for (size_t c = 0; c < dim; ++c) (*stencil)(r, c) = projected[c];
+  }
+}
+
+/// Moves `search` to the best improving trial of its scored stencil, or
+/// halves its step when no trial improves, so a productive stride is
+/// reused. Ties break on the lowest stencil row, keeping the search
+/// deterministic.
+void Advance(const Matrix& stencil, std::vector<double> values,
+             const AcqOptimizerOptions& options, Search* search) {
+  if (options.reject) {
+    for (size_t r = 0; r < stencil.rows(); ++r) {
+      if (options.reject(stencil.Row(r))) {
+        values[r] = -std::numeric_limits<double>::infinity();
+      }
+    }
+  }
+  size_t best_row = stencil.rows();
+  double best_value = search->current.value;
+  for (size_t r = 0; r < stencil.rows(); ++r) {
+    if (values[r] > best_value) {
+      best_value = values[r];
+      best_row = r;
+    }
+  }
+  if (best_row == stencil.rows()) {
+    search->step *= 0.5;
+    return;
+  }
+  for (size_t c = 0; c < stencil.cols(); ++c) {
+    search->current.x[c] = stencil(best_row, c);
+  }
+  search->current.value = best_value;
 }
 
 }  // namespace
@@ -107,7 +135,7 @@ Vector MaximizeAcquisitionBatch(const BatchAcquisitionFn& acquisition,
   RESTUNE_TRACE_SPAN("acq.sweep");
   AcqMetrics* metrics = AcqMetrics::Get();
   metrics->sweeps->Add();
-  // Candidates come from the caller's RNG before any parallel work, so the
+  // Candidates come from the caller's RNG before any scoring, so the
   // sampled sweep is independent of the pool size. At least one candidate
   // is always drawn — an empty sweep has no best point to return.
   // RNG-alignment contract: the reject hook must be a pure predicate. It
@@ -126,22 +154,24 @@ Vector MaximizeAcquisitionBatch(const BatchAcquisitionFn& acquisition,
     // fallback winner (pool.front() below) lies inside the projected set.
     for (Vector& sample : samples) sample = options.project(sample);
   }
-  Matrix candidates(samples.size(), dim);
-  for (size_t r = 0; r < samples.size(); ++r) {
-    for (size_t c = 0; c < dim; ++c) candidates(r, c) = samples[r][c];
+  // The sweep is cut into fixed-size blocks and scored in one call. This
+  // is the only place candidates are cut into blocks.
+  std::vector<Matrix> blocks;
+  for (size_t begin = 0; begin < samples.size();
+       begin += kAcquisitionBlockRows) {
+    const size_t end =
+        std::min(samples.size(), begin + kAcquisitionBlockRows);
+    Matrix& block = blocks.emplace_back(end - begin, dim);
+    for (size_t r = begin; r < end; ++r) {
+      for (size_t c = 0; c < dim; ++c) block(r - begin, c) = samples[r][c];
+    }
   }
-  std::vector<double> values = acquisition(candidates);
-  RESTUNE_CHECK(values.size() == candidates.rows())
-      << "acquisition returned " << values.size() << " values for "
-      << candidates.rows() << " candidates";
-  // NaN never compares greater, so a poisoned acquisition value would
-  // silently bias the argmax toward whatever candidate happened to come
-  // first; fail fast and name the offending row instead. -inf is legal (it
-  // is how the reject hook and degenerate EI mark dead candidates).
-  for (size_t r = 0; r < values.size(); ++r) {
-    RESTUNE_CHECK(!std::isnan(values[r]))
-        << "acquisition value at candidate " << r
-        << " is NaN; the surrogate produced a non-finite prediction";
+  const std::vector<std::vector<double>> scores = acquisition(blocks);
+  CheckScores(blocks, scores, "sweep");
+  std::vector<double> values;
+  values.reserve(samples.size());
+  for (const std::vector<double>& block_values : scores) {
+    values.insert(values.end(), block_values.begin(), block_values.end());
   }
   metrics->candidates->Add(static_cast<int64_t>(samples.size()));
   if (options.reject) {
@@ -172,21 +202,37 @@ Vector MaximizeAcquisitionBatch(const BatchAcquisitionFn& acquisition,
       pool.begin(), pool.begin() + sort_count, pool.end(),
       [](const Scored& a, const Scored& b) { return a.value > b.value; });
 
-  // Each local search is independent and owns its output slot; the winner
-  // is reduced in candidate order afterwards, so the result matches a
-  // serial sweep exactly.
+  // The local searches advance in lockstep: each pass builds every
+  // search's stencil, scores them as separate blocks in one call (never
+  // stacked, so each keeps the bits of scoring it alone) and then moves or
+  // halves each search. The winner is reduced in candidate order, so the
+  // result matches searches run one after another exactly.
   metrics->refined->Add(static_cast<int64_t>(refine_count));
-  std::vector<Scored> refined(refine_count);
-  {
+  std::vector<Search> searches;
+  searches.reserve(refine_count);
+  for (size_t c = 0; c < refine_count; ++c) {
+    searches.push_back({pool[c], options.initial_step});
+  }
+  if (refine_count > 0) {
     RESTUNE_TRACE_SPAN("acq.refine");
-    ResolvePool(options.pool)->ParallelFor(refine_count, [&](size_t c) {
-      refined[c] = RefineCandidate(acquisition, pool[c], dim, options);
-    });
+    std::vector<Matrix> stencils(refine_count, Matrix(2 * dim, dim));
+    for (int pass = 0; pass < options.refine_passes; ++pass) {
+      for (size_t c = 0; c < refine_count; ++c) {
+        BuildStencil(searches[c].current.x, searches[c].step, options,
+                     &stencils[c]);
+      }
+      std::vector<std::vector<double>> stencil_scores = acquisition(stencils);
+      CheckScores(stencils, stencil_scores, "stencil");
+      for (size_t c = 0; c < refine_count; ++c) {
+        Advance(stencils[c], std::move(stencil_scores[c]), options,
+                &searches[c]);
+      }
+    }
   }
 
   Scored best = pool.front();
-  for (const Scored& candidate : refined) {
-    if (candidate.value > best.value) best = candidate;
+  for (const Search& search : searches) {
+    if (search.current.value > best.value) best = search.current;
   }
 #ifndef NDEBUG
   const RngState rng_state_now = rng->state();
@@ -204,10 +250,19 @@ Vector MaximizeAcquisition(
     const std::function<double(const Vector&)>& acquisition, size_t dim,
     Rng* rng, const AcqOptimizerOptions& options) {
   ThreadPool* tp = ResolvePool(options.pool);
-  auto batch = [&acquisition, tp](const Matrix& thetas) {
-    std::vector<double> out(thetas.rows());
-    tp->ParallelForRanges(thetas.rows(), [&](size_t begin, size_t end) {
-      for (size_t r = begin; r < end; ++r) out[r] = acquisition(thetas.Row(r));
+  auto batch = [&acquisition, tp](const std::vector<Matrix>& blocks) {
+    std::vector<std::vector<double>> out(blocks.size());
+    // (block, row) of every value, so one range loop covers all blocks.
+    std::vector<std::pair<size_t, size_t>> cells;
+    for (size_t b = 0; b < blocks.size(); ++b) {
+      out[b].resize(blocks[b].rows());
+      for (size_t r = 0; r < blocks[b].rows(); ++r) cells.emplace_back(b, r);
+    }
+    tp->ParallelForRanges(cells.size(), [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        const auto [b, r] = cells[i];
+        out[b][r] = acquisition(blocks[b].Row(r));
+      }
     });
     return out;
   };

@@ -1,7 +1,9 @@
 #ifndef RESTUNE_BO_ACQ_OPTIMIZER_H_
 #define RESTUNE_BO_ACQ_OPTIMIZER_H_
 
+#include <cstddef>
 #include <functional>
+#include <vector>
 
 #include "common/rng.h"
 #include "linalg/matrix.h"
@@ -23,17 +25,19 @@ struct AcqOptimizerOptions {
   int refine_passes = 6;
   /// Initial refinement step, halved each pass.
   double initial_step = 0.1;
-  /// Pool for the candidate sweep and the per-candidate refinements
-  /// (null = shared pool). The chosen candidate is bitwise identical for
-  /// any pool size: candidates are drawn from `rng` on the calling thread
-  /// before any parallel work, every parallel task writes only its own
-  /// slot, and the final reduction runs in a fixed order.
+  /// Pool the acquisition's scoring runs on (null = shared pool): the
+  /// scalar adapter's loop, and the pool the advisors hand to the batch
+  /// acquisitions. The optimizer itself runs on the calling thread and
+  /// makes one acquisition call for the sweep and one per refinement pass,
+  /// so each call is at most one pool loop. The chosen candidate is bitwise
+  /// identical for any pool size: candidates are drawn from `rng` before
+  /// any scoring, a block's values do not depend on the blocks scored with
+  /// it, and the final reduction runs in a fixed order.
   ThreadPool* pool = nullptr;
   /// Optional hard veto: candidates (and refinement stencil points) for
   /// which this returns true are scored -inf and can never win. Used for
   /// quarantined knob regions around configurations that crashed the DBMS.
-  /// Must be pure and safe to call concurrently from pool workers (the
-  /// refinement stage runs on the pool).
+  /// Must be pure; it runs on the calling thread.
   std::function<bool(const Vector&)> reject;
   /// Optional projection applied to every sampled candidate and every
   /// refinement stencil point before scoring. Unlike `reject` (which only
@@ -41,15 +45,23 @@ struct AcqOptimizerOptions {
   /// constraint — even when every candidate is vetoed the fallback winner
   /// has been projected. Used by the safety trust region to clamp the sweep
   /// into an L∞ box around the last known-safe configuration. Must be pure
-  /// (no RNG draws — the debug state check below catches violations), and
-  /// safe to call concurrently from pool workers.
+  /// (no RNG draws — the debug state check below catches violations); it
+  /// runs on the calling thread.
   std::function<Vector(const Vector&)> project;
 };
 
-/// Acquisition values for a whole candidate block (one value per row).
+/// Rows per block of the candidate sweep. A multiple of the triangular
+/// solve's 64-column stripe and so of every SIMD lane group: each candidate
+/// meets the same arithmetic in its block as in one unsplit batch.
+inline constexpr size_t kAcquisitionBlockRows = 64;
+
+/// Acquisition values for a list of candidate blocks: one value vector per
+/// block, one value per row. Each block's values must be bitwise what
+/// scoring that block alone gives, whatever else the call holds.
 /// Implementations are expected to route through the surrogate's batch
-/// prediction path; they must be safe to call from pool workers.
-using BatchAcquisitionFn = std::function<std::vector<double>(const Matrix&)>;
+/// prediction path (the `*ExpectedImprovementBatch` functions).
+using BatchAcquisitionFn = std::function<std::vector<std::vector<double>>(
+    const std::vector<Matrix>&)>;
 
 /// Maximizes an acquisition function over the unit hypercube by a global
 /// random sweep followed by local coordinate refinement of the best
@@ -57,17 +69,19 @@ using BatchAcquisitionFn = std::function<std::vector<double>(const Matrix&)>;
 /// L-BFGS loop BO libraries use; coordinate steps suit the box-bounded,
 /// axis-aligned knob space.
 ///
-/// The sweep scores all `num_candidates` points with ONE batch call —
-/// thousands of GP posteriors computed as a single blocked inference —
-/// and the `num_refine` local searches then run concurrently on the pool.
+/// The sweep scores all `num_candidates` points with ONE acquisition call,
+/// cut into `kAcquisitionBlockRows`-row blocks. The `num_refine` local
+/// searches then advance in lockstep: each pass scores every search's
+/// coordinate stencil, one block per search, in one more call.
 Vector MaximizeAcquisitionBatch(const BatchAcquisitionFn& acquisition,
                                 size_t dim, Rng* rng,
                                 const AcqOptimizerOptions& options = {});
 
 /// Scalar-acquisition adapter: wraps `acquisition` into a batch function
-/// that fans individual evaluations out over the pool. The function must be
-/// thread-safe (const surrogate reads only). Prefer the batch overload when
-/// a batch acquisition exists — it also exploits matrix-level GP inference.
+/// that fans the rows of all blocks out over the pool in one loop. The
+/// function must be thread-safe (const surrogate reads only). Prefer the
+/// batch overload when a batch acquisition exists — it also exploits
+/// matrix-level GP inference.
 Vector MaximizeAcquisition(
     const std::function<double(const Vector&)>& acquisition, size_t dim,
     Rng* rng, const AcqOptimizerOptions& options = {});

@@ -1,6 +1,8 @@
 #ifndef RESTUNE_BO_ACQUISITION_H_
 #define RESTUNE_BO_ACQUISITION_H_
 
+#include <vector>
+
 #include "bo/surrogate.h"
 #include "gp/gp_model.h"
 
@@ -38,14 +40,22 @@ double ConstrainedExpectedImprovement(const Surrogate& surrogate,
                                       const Vector& theta,
                                       const AcquisitionContext& ctx);
 
-/// CEI over every row of `thetas` through the surrogate's batch path: the
-/// three metric posteriors for the whole candidate block are computed as
-/// matrix-level GP inference, then combined per candidate. Value i equals
-/// the scalar CEI of row i. The batch inference distributes over `pool`
-/// (null = shared pool); values are bitwise identical for any pool size,
-/// so callers can hand the acquisition optimizer's pool straight through.
-std::vector<double> ConstrainedExpectedImprovementBatch(
-    const Surrogate& surrogate, const Matrix& thetas,
+/// Acquisition values of a list of candidate blocks: one vector per block,
+/// one value per row.
+using BlockValues = std::vector<std::vector<double>>;
+
+/// CEI over every row of every block through the surrogate's batch path.
+/// The metric posteriors come from one pool loop over (block, metric)
+/// tasks; each task is one `Surrogate::PredictMetricBatch` call on its
+/// block, run inline inside the task. The posteriors are then combined per
+/// row, so value i of a block equals the scalar CEI of its row i, and a
+/// block's values are bitwise what scoring it alone gives. A call holding
+/// fewer rows in total than `ThreadPool::kRangeGrain` runs every task
+/// inline. Values are bitwise identical for any pool size (null = shared
+/// pool), so callers can hand the acquisition optimizer's pool straight
+/// through.
+BlockValues ConstrainedExpectedImprovementBatch(
+    const Surrogate& surrogate, const std::vector<Matrix>& blocks,
     const AcquisitionContext& ctx, ThreadPool* pool = nullptr);
 
 /// Plain EI on the resource objective, ignoring constraints — the
@@ -54,9 +64,10 @@ double UnconstrainedExpectedImprovement(const Surrogate& surrogate,
                                         const Vector& theta,
                                         const AcquisitionContext& ctx);
 
-/// Batch counterpart of `UnconstrainedExpectedImprovement`.
-std::vector<double> UnconstrainedExpectedImprovementBatch(
-    const Surrogate& surrogate, const Matrix& thetas,
+/// Batch counterpart of `UnconstrainedExpectedImprovement`, scheduled like
+/// the CEI batch.
+BlockValues UnconstrainedExpectedImprovementBatch(
+    const Surrogate& surrogate, const std::vector<Matrix>& blocks,
     const AcquisitionContext& ctx, ThreadPool* pool = nullptr);
 
 /// Penalty-based alternative kept for ablation (Section 2 cites penalty
@@ -67,9 +78,10 @@ double PenalizedExpectedImprovement(const Surrogate& surrogate,
                                     const AcquisitionContext& ctx,
                                     double penalty);
 
-/// Batch counterpart of `PenalizedExpectedImprovement`.
-std::vector<double> PenalizedExpectedImprovementBatch(
-    const Surrogate& surrogate, const Matrix& thetas,
+/// Batch counterpart of `PenalizedExpectedImprovement`, scheduled like the
+/// CEI batch.
+BlockValues PenalizedExpectedImprovementBatch(
+    const Surrogate& surrogate, const std::vector<Matrix>& blocks,
     const AcquisitionContext& ctx, double penalty,
     ThreadPool* pool = nullptr);
 

@@ -24,9 +24,12 @@ class Surrogate {
   /// Posterior for one metric at every row of `thetas`. The default loops
   /// over `PredictMetric`; GP-backed implementations override it with the
   /// batch inference path (one cross-covariance block + blocked solves),
-  /// which is what makes the CEI candidate sweep cheap. Work is distributed
-  /// over `pool` (null = shared pool); results must be bitwise identical
-  /// for any pool size.
+  /// which is what makes the CEI candidate sweep cheap. The batch
+  /// acquisitions call it once per (block, metric) task of their pool loop,
+  /// where its own loops on `pool` (null = shared pool) run inline; called
+  /// at top level it may fan out over `pool`. Results must be bitwise
+  /// identical for any pool size, and cutting `thetas` into blocks at
+  /// multiples of 64 rows (`kAcquisitionBlockRows`) must not change a bit.
   virtual std::vector<GpPrediction> PredictMetricBatch(
       MetricKind kind, const Matrix& thetas,
       ThreadPool* pool = nullptr) const {

@@ -37,10 +37,6 @@ struct PoolMetrics {
   }
 };
 
-// Range loops over fewer items than this run inline on the caller: for a
-// loop that small, waking a worker costs more than the items it would take.
-constexpr size_t kRangeGrain = 64;
-
 // Set while a thread is executing pool work; nested loops detect it and run
 // inline instead of re-entering the queue.
 thread_local bool t_inside_pool_work = false;

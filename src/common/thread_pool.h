@@ -39,6 +39,11 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  /// Range loops over fewer items than this run inline on the caller: for
+  /// a loop that small, waking a worker costs more than the items it would
+  /// take. Callers that batch small tasks themselves apply the same grain.
+  static constexpr size_t kRangeGrain = 64;
+
   /// Total threads a loop may use (workers + the calling thread).
   size_t num_threads() const { return workers_.size() + 1; }
 
@@ -50,9 +55,7 @@ class ThreadPool {
   /// Runs `fn(begin, end)` over a partition of [0, n) into contiguous
   /// ranges, blocking until all return. Chunks amortize dispatch for many
   /// small iterations (per-candidate predictions, Gram-matrix rows). A
-  /// range loop below a fixed grain (64 items, `kRangeGrain` in
-  /// thread_pool.cc) runs inline as `fn(0, n)`: a worker wake-up costs
-  /// more than such a loop.
+  /// range loop below `kRangeGrain` items runs inline as `fn(0, n)`.
   void ParallelForRanges(size_t n,
                          const std::function<void(size_t, size_t)>& fn);
 

@@ -443,36 +443,6 @@ GpPrediction MetaLearner::PredictMetric(MetricKind kind,
 
 std::vector<GpPrediction> MetaLearner::PredictMetricBatch(
     MetricKind kind, const Matrix& thetas, ThreadPool* pool) const {
-  // Rows per pool task. A multiple of the triangular solve's 64-column
-  // stripe (and so of every SIMD lane group), so each candidate meets the
-  // same arithmetic in its block as in the whole batch: the result is bit
-  // for bit that of one unsplit block.
-  constexpr size_t kBlockRows = 64;
-  const size_t m = thetas.rows();
-  if (m <= kBlockRows) return PredictMetricBlock(kind, thetas, pool);
-  // One pool loop over candidate blocks, each scored by the whole ensemble
-  // (its members' loops run inline inside the task), instead of a pool loop
-  // per member and metric: a sweep then waits at three joins, not at
-  // dozens, so a worker descheduled by a busy host stalls it less often.
-  std::vector<GpPrediction> out(m);
-  const size_t num_blocks = (m + kBlockRows - 1) / kBlockRows;
-  ResolvePool(pool)->ParallelFor(num_blocks, [&](size_t b) {
-    const size_t begin = b * kBlockRows;
-    const size_t end = std::min(m, begin + kBlockRows);
-    Matrix block(end - begin, thetas.cols());
-    for (size_t r = begin; r < end; ++r) {
-      std::copy(thetas.RowPtr(r), thetas.RowPtr(r) + thetas.cols(),
-                block.RowPtr(r - begin));
-    }
-    const std::vector<GpPrediction> preds =
-        PredictMetricBlock(kind, block, pool);
-    std::copy(preds.begin(), preds.end(), out.begin() + begin);
-  });
-  return out;
-}
-
-std::vector<GpPrediction> MetaLearner::PredictMetricBlock(
-    MetricKind kind, const Matrix& thetas, ThreadPool* pool) const {
   const size_t m = thetas.rows();
   std::vector<GpPrediction> out(m);
   if (m == 0) return out;

@@ -80,9 +80,9 @@ class MetaLearner : public Surrogate {
   /// Ensemble posterior for a whole candidate block: every member's means
   /// (and the target's variance) come from its GP batch-inference path, so
   /// a CEI sweep costs one blocked prediction per member instead of one
-  /// per-point prediction per member per candidate. Batches above 64 rows
-  /// are split into 64-row blocks scored concurrently on `pool`; the
-  /// predictions are bitwise those of the unsplit batch.
+  /// per-point prediction per member per candidate. The members run one
+  /// after another; the batch acquisitions call this once per (block,
+  /// metric) task, so the block is the unit of parallel work.
   std::vector<GpPrediction> PredictMetricBatch(
       MetricKind kind, const Matrix& thetas,
       ThreadPool* pool = nullptr) const override;
@@ -116,11 +116,6 @@ class MetaLearner : public Surrogate {
   }
 
  private:
-  /// PredictMetricBatch on one block of rows, serially over the members.
-  std::vector<GpPrediction> PredictMetricBlock(MetricKind kind,
-                                               const Matrix& thetas,
-                                               ThreadPool* pool) const;
-
   struct LearnerPrediction {
     std::array<GpPrediction, kNumMetricKinds> by_metric;
   };

@@ -64,25 +64,24 @@ Result<Vector> CboAdvisor::SuggestNextAsync(const SuggestionRequest& request) {
   // the candidate sweep parallelizes instead of bottlenecking on the
   // calling thread (predictions are pool-size invariant).
   ThreadPool* acq_pool = options_.acq_optimizer.pool;
-  return step_.Maximize(request, [&, acq_pool](const Matrix& thetas) {
-    std::vector<double> values;
-    switch (options_.acquisition) {
-      case CboAcquisition::kConstrainedEi:
-        values = ConstrainedExpectedImprovementBatch(surrogate, thetas, ctx,
-                                                     acq_pool);
-        break;
-      case CboAcquisition::kUnconstrainedEi:
-        values = UnconstrainedExpectedImprovementBatch(surrogate, thetas, ctx,
+  return step_.Maximize(
+      request,
+      [&, acq_pool](const std::vector<Matrix>& blocks) -> BlockValues {
+        switch (options_.acquisition) {
+          case CboAcquisition::kConstrainedEi:
+            return ConstrainedExpectedImprovementBatch(surrogate, blocks, ctx,
                                                        acq_pool);
-        break;
-      case CboAcquisition::kPenalizedEi:
-        values = PenalizedExpectedImprovementBatch(surrogate, thetas, ctx,
-                                                   options_.penalty, acq_pool);
-        break;
-    }
-    if (values.empty()) values.assign(thetas.rows(), 0.0);
-    return values;
-  });
+          case CboAcquisition::kUnconstrainedEi:
+            return UnconstrainedExpectedImprovementBatch(surrogate, blocks,
+                                                         ctx, acq_pool);
+          case CboAcquisition::kPenalizedEi:
+            return PenalizedExpectedImprovementBatch(
+                surrogate, blocks, ctx, options_.penalty, acq_pool);
+        }
+        BlockValues zeros;
+        for (const Matrix& block : blocks) zeros.emplace_back(block.rows());
+        return zeros;
+      });
 }
 
 Result<const Surrogate*> CboAdvisor::ActiveSurrogate() {

@@ -114,8 +114,8 @@ Result<Vector> OtterTuneAdvisor::SuggestNextAsync(
       ctx.best_feasible_res = obs.res;
     }
   }
-  return step_.Maximize(request, [&](const Matrix& thetas) {
-    return ConstrainedExpectedImprovementBatch(surrogate, thetas, ctx,
+  return step_.Maximize(request, [&](const std::vector<Matrix>& blocks) {
+    return ConstrainedExpectedImprovementBatch(surrogate, blocks, ctx,
                                                options_.acq_optimizer.pool);
   });
 }

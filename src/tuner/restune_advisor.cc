@@ -79,11 +79,11 @@ Result<Vector> ResTuneAdvisor::SuggestNextAsync(
             .mean;
   }
 
-  // Batch acquisition: the whole candidate block flows through the
-  // ensemble's matrix-level GP inference in one call per member, spread
-  // over the acquisition optimizer's pool.
-  return step_.Maximize(request, [&](const Matrix& thetas) {
-    return ConstrainedExpectedImprovementBatch(*meta_learner_, thetas, ctx,
+  // Batch acquisition: each candidate block flows through the ensemble's
+  // matrix-level GP inference, one pool task per block and metric on the
+  // acquisition optimizer's pool.
+  return step_.Maximize(request, [&](const std::vector<Matrix>& blocks) {
+    return ConstrainedExpectedImprovementBatch(*meta_learner_, blocks, ctx,
                                                options_.acq_optimizer.pool);
   });
 }

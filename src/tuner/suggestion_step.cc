@@ -32,10 +32,12 @@ std::optional<Vector> SuggestionStep::NextDesignPoint(
 
 Vector SuggestionStep::Maximize(const SuggestionRequest& request,
                                 const BatchAcquisitionFn& acquisition) {
-  auto penalized = [&](const Matrix& thetas) {
-    std::vector<double> values = acquisition(thetas);
-    PenalizeNearPoints(thetas, request.pending, kPendingPenaltyRadius,
-                       &values);
+  auto penalized = [&](const std::vector<Matrix>& blocks) {
+    std::vector<std::vector<double>> values = acquisition(blocks);
+    for (size_t b = 0; b < values.size() && b < blocks.size(); ++b) {
+      PenalizeNearPoints(blocks[b], request.pending, kPendingPenaltyRadius,
+                         &values[b]);
+    }
     return values;
   };
   AcqOptimizerOptions options = acq_optimizer_;

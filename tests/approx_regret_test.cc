@@ -78,9 +78,9 @@ TEST(ApproxRegretTest, SubsetSurrogateMatchesExactCeiWithinFivePercent) {
   ASSERT_EQ(approx.num_model_observations(), 400u);
 
   const std::vector<double> exact_scores =
-      ConstrainedExpectedImprovementBatch(exact, candidates, ctx);
+      ConstrainedExpectedImprovementBatch(exact, {candidates}, ctx).front();
   const std::vector<double> approx_scores =
-      ConstrainedExpectedImprovementBatch(approx, candidates, ctx);
+      ConstrainedExpectedImprovementBatch(approx, {candidates}, ctx).front();
   ASSERT_EQ(exact_scores.size(), candidates.rows());
   ASSERT_EQ(approx_scores.size(), candidates.rows());
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -134,6 +135,17 @@ TEST_F(ContractsTest, UnfittedGpPredictDiesWithActionableMessage) {
   EXPECT_DEATH(gp.LogMarginalLikelihood(), "fitted GP");
 }
 
+/// One value per row of every block, `value(rows)` for a block of `rows`.
+std::vector<std::vector<double>> ScoreBlocks(
+    const std::vector<Matrix>& blocks,
+    const std::function<double(size_t)>& value) {
+  std::vector<std::vector<double>> values;
+  for (const Matrix& block : blocks) {
+    values.emplace_back(block.rows(), value(block.rows()));
+  }
+  return values;
+}
+
 // Pre-contract, a NaN acquisition value silently lost every comparison in
 // the argmax, steering the optimizer to an arbitrary candidate with no
 // diagnostic. -inf stays legal: the reject hook uses it to veto candidates.
@@ -144,17 +156,37 @@ TEST_F(ContractsTest, NanAcquisitionValueDiesInsteadOfBiasingArgmax) {
   options.pool = &pool;
   options.num_candidates = 8;
   options.num_refine = 1;
-  const BatchAcquisitionFn nan_acq = [](const Matrix& candidates) {
-    return std::vector<double>(candidates.rows(), kNan);
+  const BatchAcquisitionFn nan_acq = [](const std::vector<Matrix>& blocks) {
+    return ScoreBlocks(blocks, [](size_t) { return kNan; });
   };
   EXPECT_DEATH(MaximizeAcquisitionBatch(nan_acq, 2, &rng, options),
                "RESTUNE CHECK failed: .*isnan");
 
-  const BatchAcquisitionFn neg_inf_acq = [](const Matrix& candidates) {
-    return std::vector<double>(candidates.rows(), -kInf);
-  };
+  const BatchAcquisitionFn neg_inf_acq =
+      [](const std::vector<Matrix>& blocks) {
+        return ScoreBlocks(blocks, [](size_t) { return -kInf; });
+      };
   const Vector best = MaximizeAcquisitionBatch(neg_inf_acq, 2, &rng, options);
   EXPECT_EQ(best.size(), 2u);  // all-vetoed sweep still returns a point
+}
+
+// The refinement stencils meet the sweep's checks: a NaN that appears only
+// in stencil rows (4 rows for 2 knobs; the sweep blocks are larger) dies and
+// names its stencil row instead of silently never winning.
+TEST_F(ContractsTest, NanStencilValueDiesInsteadOfLosingEveryComparison) {
+  ThreadPool pool(1);
+  Rng rng(42);
+  AcqOptimizerOptions options;
+  options.pool = &pool;
+  options.num_candidates = 8;
+  options.num_refine = 2;
+  const BatchAcquisitionFn nan_stencils =
+      [](const std::vector<Matrix>& blocks) {
+        return ScoreBlocks(blocks,
+                           [](size_t rows) { return rows == 4 ? kNan : 0.5; });
+      };
+  EXPECT_DEATH(MaximizeAcquisitionBatch(nan_stencils, 2, &rng, options),
+               "RESTUNE CHECK failed: .*isnan.*row 0 of stencil block 0");
 }
 
 // An acquisition that returns the wrong number of values used to read out of
@@ -165,8 +197,10 @@ TEST_F(ContractsTest, AcquisitionValueCountMismatchDies) {
   AcqOptimizerOptions options;
   options.pool = &pool;
   options.num_candidates = 8;
-  const BatchAcquisitionFn short_acq = [](const Matrix& candidates) {
-    return std::vector<double>(candidates.rows() - 1, 0.0);
+  const BatchAcquisitionFn short_acq = [](const std::vector<Matrix>& blocks) {
+    std::vector<std::vector<double>> values;
+    for (const Matrix& block : blocks) values.emplace_back(block.rows() - 1);
+    return values;
   };
   EXPECT_DEATH(MaximizeAcquisitionBatch(short_acq, 2, &rng, options),
                "RESTUNE CHECK failed: values.size\\(\\) == candidates.rows");

@@ -7,6 +7,8 @@
 #include <fstream>
 #include <memory>
 
+#include "bo/acq_optimizer.h"
+#include "bo/acquisition.h"
 #include "bo/lhs.h"
 #include "common/fnv.h"
 #include "common/thread_pool.h"
@@ -244,10 +246,11 @@ TEST_F(MetaLearnerTest, WorksWithNoBaseLearners) {
             learner.PredictMetric(MetricKind::kRes, {0.9, 0.5}).mean);
 }
 
-TEST_F(MetaLearnerTest, BatchBlocksAreBitIdenticalAcrossPoolSizes) {
-  // 150 rows are two full 64-row blocks and a partial one, scored as one
-  // pool loop whose tasks run the ensemble inline. Every pool size must give
-  // the same bits, and so must each block scored on its own (unsplit). The
+TEST_F(MetaLearnerTest, CeiBlocksAreBitIdenticalAcrossPoolSizes) {
+  // 150 rows cut into the optimizer's sweep blocks (two full blocks and a
+  // partial one) and scored by the block CEI as one pool loop whose tasks
+  // run the ensemble inline. Every pool size must give the bits of the
+  // unsplit 150-row batch, and so must each block scored on its own. The
   // learners hold more than one 48-row solve block, so the blocked
   // triangular solve takes its SIMD panel path.
   const auto loops = [] {
@@ -271,36 +274,64 @@ TEST_F(MetaLearnerTest, BatchBlocksAreBitIdenticalAcrossPoolSizes) {
       thetas(r, 0) = rng.Uniform();
       thetas(r, 1) = rng.Uniform();
     }
-    ThreadPool serial(1), three(3), wide(4);
-    for (MetricKind kind : kAllMetricKinds) {
-      const std::vector<GpPrediction> reference =
-          learner.PredictMetricBatch(kind, thetas, &serial);
-      ASSERT_EQ(reference.size(), thetas.rows());
-      const int64_t loops_before = loops();
-      const std::vector<GpPrediction> pooled =
-          learner.PredictMetricBatch(kind, thetas, &wide);
-      EXPECT_EQ(loops(), loops_before + 1);
-      const std::vector<GpPrediction> odd =
-          learner.PredictMetricBatch(kind, thetas, &three);
-      for (size_t r = 0; r < thetas.rows(); ++r) {
-        EXPECT_EQ(pooled[r].mean, reference[r].mean) << "row " << r;
-        EXPECT_EQ(pooled[r].variance, reference[r].variance) << "row " << r;
-        EXPECT_EQ(odd[r].mean, reference[r].mean) << "row " << r;
-        EXPECT_EQ(odd[r].variance, reference[r].variance) << "row " << r;
+    std::vector<Matrix> blocks;
+    for (size_t begin = 0; begin < thetas.rows();
+         begin += kAcquisitionBlockRows) {
+      const size_t end =
+          std::min<size_t>(thetas.rows(), begin + kAcquisitionBlockRows);
+      Matrix& block = blocks.emplace_back(end - begin, 2);
+      for (size_t r = begin; r < end; ++r) {
+        block(r - begin, 0) = thetas(r, 0);
+        block(r - begin, 1) = thetas(r, 1);
       }
-      for (size_t begin = 0; begin < thetas.rows(); begin += 64) {
-        const size_t end = std::min<size_t>(thetas.rows(), begin + 64);
-        Matrix block(end - begin, 2);
-        for (size_t r = begin; r < end; ++r) {
-          block(r - begin, 0) = thetas(r, 0);
-          block(r - begin, 1) = thetas(r, 1);
+    }
+    const Vector center = {0.5, 0.5};
+    AcquisitionContext ctx;
+    ctx.has_feasible = true;
+    ctx.best_feasible_res =
+        learner.PredictMetric(MetricKind::kRes, center).mean;
+    ctx.lambda_tps = learner.RescaledThreshold(MetricKind::kTps, center);
+    ctx.lambda_lat = learner.RescaledThreshold(MetricKind::kLat, center);
+    ThreadPool serial(1), three(3), wide(4);
+    const std::vector<double> reference =
+        ConstrainedExpectedImprovementBatch(learner, {thetas}, ctx, &serial)
+            .front();
+    ASSERT_EQ(reference.size(), thetas.rows());
+    const int64_t loops_before = loops();
+    const BlockValues pooled =
+        ConstrainedExpectedImprovementBatch(learner, blocks, ctx, &wide);
+    EXPECT_EQ(loops(), loops_before + 1);
+    for (ThreadPool* pool : {&serial, &three, &wide}) {
+      const BlockValues values =
+          pool == &wide
+              ? pooled
+              : ConstrainedExpectedImprovementBatch(learner, blocks, ctx, pool);
+      ASSERT_EQ(values.size(), blocks.size());
+      size_t row = 0;
+      for (size_t b = 0; b < blocks.size(); ++b) {
+        const std::vector<double> alone =
+            ConstrainedExpectedImprovementBatch(learner, {blocks[b]}, ctx, pool)
+                .front();
+        ASSERT_EQ(values[b].size(), blocks[b].rows());
+        for (size_t r = 0; r < blocks[b].rows(); ++r, ++row) {
+          EXPECT_EQ(values[b][r], reference[row])
+              << pool->num_threads() << " threads, row " << row;
+          EXPECT_EQ(alone[r], reference[row])
+              << pool->num_threads() << " threads, row " << row << " alone";
         }
+      }
+    }
+    // The posteriors under the values keep their bits too.
+    for (MetricKind kind : kAllMetricKinds) {
+      const std::vector<GpPrediction> whole =
+          learner.PredictMetricBatch(kind, thetas, &serial);
+      size_t row = 0;
+      for (const Matrix& block : blocks) {
         const std::vector<GpPrediction> alone =
             learner.PredictMetricBatch(kind, block, &wide);
-        for (size_t r = begin; r < end; ++r) {
-          EXPECT_EQ(alone[r - begin].mean, reference[r].mean) << "row " << r;
-          EXPECT_EQ(alone[r - begin].variance, reference[r].variance)
-              << "row " << r;
+        for (size_t r = 0; r < block.rows(); ++r, ++row) {
+          EXPECT_EQ(alone[r].mean, whole[row].mean) << "row " << row;
+          EXPECT_EQ(alone[r].variance, whole[row].variance) << "row " << row;
         }
       }
     }

@@ -269,7 +269,8 @@ TEST(ScalableSurrogateTest, CeiRunsThroughApproxBackends) {
     ScalableSurrogate surrogate(2, options);
     ASSERT_TRUE(surrogate.Fit(history).ok());
     const std::vector<double> scores =
-        ConstrainedExpectedImprovementBatch(surrogate, candidates, ctx);
+        ConstrainedExpectedImprovementBatch(surrogate, {candidates}, ctx)
+            .front();
     ASSERT_EQ(scores.size(), 16u);
     for (double s : scores) {
       EXPECT_TRUE(std::isfinite(s));

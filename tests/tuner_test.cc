@@ -68,16 +68,21 @@ TEST(SuggestionStepTest, PendingPeakPushesTheSuggestionARadiusAway) {
   // evaluation on the higher peak damps it enough that the step proposes
   // the other, at least the penalty radius away.
   const Vector peak = {0.3, 0.3};
-  const BatchAcquisitionFn acquisition = [&](const Matrix& thetas) {
-    std::vector<double> values(thetas.rows());
-    for (size_t r = 0; r < thetas.rows(); ++r) {
-      const Vector x = thetas.Row(r);
-      values[r] = std::max(std::exp(-50.0 * SquaredDistance(x, peak)),
-                           0.8 * std::exp(-50.0 * SquaredDistance(
-                                                      x, {0.75, 0.75})));
-    }
-    return values;
-  };
+  const BatchAcquisitionFn acquisition =
+      [&](const std::vector<Matrix>& blocks) {
+        std::vector<std::vector<double>> values;
+        for (const Matrix& thetas : blocks) {
+          std::vector<double>& block_values = values.emplace_back();
+          for (size_t r = 0; r < thetas.rows(); ++r) {
+            const Vector x = thetas.Row(r);
+            block_values.push_back(
+                std::max(std::exp(-50.0 * SquaredDistance(x, peak)),
+                         0.8 * std::exp(-50.0 * SquaredDistance(
+                                                    x, {0.75, 0.75}))));
+          }
+        }
+        return values;
+      };
   SuggestionStep alone(2, 6, QuarantineOptions{}, AcqOptimizerOptions{});
   EXPECT_LT(std::sqrt(SquaredDistance(alone.Maximize({}, acquisition), peak)),
             0.05);
