@@ -139,6 +139,28 @@ TEST(CboAdvisorTest, LifecycleAndLhsBootstrap) {
   EXPECT_EQ(advisor.surrogate().num_observations(), 6u);  // default + 5
 }
 
+TEST(CboAdvisorTest, CrashFeedsTheConstraintModelsOnly) {
+  CboAdvisor advisor("cbo", 3);
+  DbInstanceSimulator sim = CaseStudySimulator();
+  const Observation def = sim.EvaluateDefault().value();
+  ASSERT_TRUE(
+      advisor.Begin(def, DbInstanceSimulator::ConstraintsFromDefault(def))
+          .ok());
+  const MultiOutputGp& gp = advisor.surrogate();
+  const size_t res = gp.model(MetricKind::kRes).num_observations();
+  const size_t tps = gp.model(MetricKind::kTps).num_observations();
+  const size_t lat = gp.model(MetricKind::kLat).num_observations();
+
+  EvaluationFault crash;
+  crash.kind = FaultKind::kCrash;
+  ASSERT_TRUE(advisor.ObserveFailure({0.9, 0.1, 0.5}, crash).ok());
+  // The crash enters as a hard SLA violation in the constraint models; the
+  // resource model never sees a fabricated value.
+  EXPECT_EQ(gp.model(MetricKind::kTps).num_observations(), tps + 1);
+  EXPECT_EQ(gp.model(MetricKind::kLat).num_observations(), lat + 1);
+  EXPECT_EQ(gp.model(MetricKind::kRes).num_observations(), res);
+}
+
 // -------------------------------------------------------- session running
 
 TEST(TuningSessionTest, TracksBestFeasible) {
