@@ -12,28 +12,14 @@
 
 namespace restune {
 
-/// Options for training one base-learner.
-struct BaseLearnerOptions {
-  /// GP fit options; defaults match `BaseLearner::DefaultGpOptions()`
-  /// (no target normalization — inputs are pre-standardized per task).
-  GpOptions gp;
-  /// When non-zero and the task history is larger, the learner trains on a
-  /// deterministic farthest-point subset of at most this many observations
-  /// — capping the O(n^3) one-shot fit and the O(n) ensemble prediction
-  /// cost per learner for tasks with very long histories. 0 = exact.
-  size_t subset_size = 0;
-
-  BaseLearnerOptions();
-};
-
-/// Content fingerprint of a (task, options) training request: task name,
+/// Content fingerprint of a (task, GP options) training request: task name,
 /// meta-feature and observation doubles hashed by bit pattern, plus every
 /// option that affects the fitted model. Equal fingerprints mean training
 /// would reproduce the same model bit for bit, which is what lets the
 /// process-global cache (base_learner_cache.h) and serialized repository
 /// learners stand in for a fresh fit.
 std::string BaseLearnerFingerprint(const TuningTask& task,
-                                   const BaseLearnerOptions& options);
+                                   const GpOptions& options);
 
 /// A historical base-learner: a multi-output GP fitted on one task's
 /// *standardized* observations (scale unification, Section 6.1). Its
@@ -47,10 +33,6 @@ class BaseLearner {
   /// Consults the process-global `BaseLearnerCache` first: a task already
   /// trained under the same fingerprint (this session or a repository
   /// load) is returned without refitting.
-  static Result<BaseLearner> Train(const TuningTask& task,
-                                   const BaseLearnerOptions& options);
-
-  /// Legacy overload: exact training with the given GP options.
   static Result<BaseLearner> Train(const TuningTask& task,
                                    GpOptions gp_options = DefaultGpOptions());
 

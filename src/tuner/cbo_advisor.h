@@ -1,12 +1,11 @@
 #ifndef RESTUNE_TUNER_CBO_ADVISOR_H_
 #define RESTUNE_TUNER_CBO_ADVISOR_H_
 
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "bo/acq_optimizer.h"
 #include "bo/acquisition.h"
-#include "bo/approx_surrogate.h"
 #include "dbsim/knob.h"
 #include "gp/multi_output_gp.h"
 #include "tuner/advisor.h"
@@ -38,18 +37,6 @@ struct CboAdvisorOptions {
   uint64_t seed = 17;
   /// Knob-region quarantine around crashed/timed-out configurations.
   QuarantineOptions quarantine;
-  /// Surrogate backend. `kExactGp` keeps the incremental multi-output GP
-  /// (rank-one updates, amortized hyper-parameter refits). The approximate
-  /// backends instead refit a `ScalableSurrogate` from the full history on
-  /// demand: `kSubsetGp` caps model size at `surrogate_subset_size`,
-  /// `kQuantileForest` drops the GP entirely — both keep suggest-time
-  /// bounded as the history grows to the n=10k regime. Approximate
-  /// backends learn about evaluation failures only through quarantine
-  /// regions (the exact backend additionally feeds penalized points into
-  /// its constraint models).
-  SurrogateBackend surrogate_backend = SurrogateBackend::kExactGp;
-  size_t surrogate_subset_size = 512;
-  QuantileForestOptions surrogate_forest;
 };
 
 /// Constrained Bayesian optimization on a fresh multi-output GP: the
@@ -69,15 +56,9 @@ class CboAdvisor : public Advisor {
 
   const MultiOutputGp& surrogate() const { return gp_; }
   const KnobQuarantine& quarantine() const { return step_.quarantine(); }
-  /// The approximate surrogate; null under `kExactGp`, unfitted until the
-  /// first post-observation suggestion otherwise.
-  const ScalableSurrogate* approx_surrogate() const { return approx_.get(); }
 
  private:
   AcquisitionContext MakeContext() const;
-  /// The surrogate a suggestion should score candidates with, refitting the
-  /// approximate backend first when observations arrived since last time.
-  Result<const Surrogate*> ActiveSurrogate();
 
   std::string name_;
   size_t dim_;
@@ -86,9 +67,7 @@ class CboAdvisor : public Advisor {
   MultiOutputGp gp_;
   SlaConstraints sla_;
   std::vector<Observation> history_;
-  GpSurrogate exact_surrogate_;
-  std::unique_ptr<ScalableSurrogate> approx_;
-  bool approx_dirty_ = false;
+  GpSurrogate gp_surrogate_;
 };
 
 }  // namespace restune

@@ -4,7 +4,9 @@
 #include <set>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "ml/decision_tree.h"
+#include "ml/quantile_forest.h"
 #include "ml/random_forest.h"
 #include "ml/sql_tokens.h"
 #include "ml/tfidf.h"
@@ -234,6 +236,94 @@ TEST(LogCostClassTest, SkewedValuesSpreadAcrossClasses) {
     classes.insert(LogCostClass(cost, 1.0, 1000.0, 8));
   }
   EXPECT_GE(classes.size(), 5u);
+}
+
+// ------------------------------------------------------- QuantileForest
+
+// A smooth 2-D response with a unique minimum at (0.3, 0.7) — easy for any
+// regressor, so the tests below check machinery, not model power.
+double Bowl(double a, double b) {
+  return (a - 0.3) * (a - 0.3) + (b - 0.7) * (b - 0.7);
+}
+
+// `n` uniform points of the unit square and their bowl values.
+void BowlSamples(size_t n, uint64_t seed, Matrix* x, Vector* y) {
+  Rng rng(seed);
+  *x = Matrix(n, 2);
+  *y = Vector(n);
+  for (size_t i = 0; i < n; ++i) {
+    (*x)(i, 0) = rng.Uniform();
+    (*x)(i, 1) = rng.Uniform();
+    (*y)[i] = Bowl((*x)(i, 0), (*x)(i, 1));
+  }
+}
+
+TEST(QuantileForestTest, RejectsBadInputs) {
+  QuantileForest forest;
+  Matrix x(4, 2, 0.5);
+  Vector y(3, 1.0);
+  EXPECT_FALSE(forest.Fit(x, y).ok());  // size mismatch
+  EXPECT_FALSE(forest.Fit(Matrix(), Vector()).ok());
+  EXPECT_FALSE(forest.fitted());
+}
+
+TEST(QuantileForestTest, LearnsASmoothSurface) {
+  Matrix x;
+  Vector y;
+  BowlSamples(400, 21, &x, &y);
+  QuantileForest forest;
+  ASSERT_TRUE(forest.Fit(x, y).ok());
+  EXPECT_TRUE(forest.fitted());
+  EXPECT_EQ(forest.dim(), 2u);
+  EXPECT_EQ(forest.num_observations(), 400u);
+
+  // Interior predictions land near the true surface, and the minimum region
+  // scores lower than the far corner.
+  const ForestPrediction near_min = forest.Predict({0.3, 0.7});
+  const ForestPrediction corner = forest.Predict({0.95, 0.05});
+  EXPECT_NEAR(near_min.mean, Bowl(0.3, 0.7), 0.05);
+  EXPECT_GT(corner.mean, near_min.mean);
+  EXPECT_GE(near_min.variance, 0.0);
+  EXPECT_GE(corner.variance, 0.0);
+}
+
+TEST(QuantileForestTest, DeterministicForAnyPoolSize) {
+  Matrix x;
+  Vector y;
+  BowlSamples(200, 33, &x, &y);
+  ThreadPool serial(1);
+  ThreadPool wide(4);
+  QuantileForest a, b;
+  ASSERT_TRUE(a.Fit(x, y, &serial).ok());
+  ASSERT_TRUE(b.Fit(x, y, &wide).ok());
+
+  Matrix queries(32, 2);
+  Rng rng(5);
+  for (size_t r = 0; r < 32; ++r) {
+    queries(r, 0) = rng.Uniform();
+    queries(r, 1) = rng.Uniform();
+  }
+  const std::vector<ForestPrediction> pa = a.PredictBatch(queries, &serial);
+  const std::vector<ForestPrediction> pb = b.PredictBatch(queries, &wide);
+  ASSERT_EQ(pa.size(), pb.size());
+  for (size_t i = 0; i < pa.size(); ++i) {
+    EXPECT_EQ(pa[i].mean, pb[i].mean) << "mean diverges at " << i;
+    EXPECT_EQ(pa[i].variance, pb[i].variance) << "variance diverges at " << i;
+  }
+}
+
+TEST(QuantileForestTest, QuantilesAreMonotonic) {
+  Matrix x;
+  Vector y;
+  BowlSamples(300, 44, &x, &y);
+  QuantileForest forest;
+  ASSERT_TRUE(forest.Fit(x, y).ok());
+  const Vector q = {0.5, 0.5};
+  const double p10 = forest.PredictQuantile(q, 0.1);
+  const double p50 = forest.PredictQuantile(q, 0.5);
+  const double p90 = forest.PredictQuantile(q, 0.9);
+  EXPECT_LE(p10, p50);
+  EXPECT_LE(p50, p90);
 }
 
 }  // namespace

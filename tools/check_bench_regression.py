@@ -19,8 +19,8 @@ refresh (docs/OBSERVABILITY.md) records them.
 A baseline record may additionally carry ``cpu_ms_max``, an absolute
 CPU-time ceiling in ms. The gate fails when the current median exceeds
 it, regardless of the relative threshold — this pins hard latency
-budgets (e.g. "approx suggest at n=10k stays under 1000 ms") that a
-slowly drifting baseline must never relax.
+budgets (e.g. the BM_FleetRecommend n=1000 row's 2000 ms ceiling on one
+sweep of 1000 tenants) that a slowly drifting baseline must never relax.
 
 Usage:
     check_bench_regression.py --baseline bench/baseline.json \
