@@ -81,30 +81,6 @@ void BM_GpPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_GpPredict)->Arg(50)->Arg(200);
 
-void BM_AcquisitionOptimization(benchmark::State& state) {
-  const size_t dim = 14;
-  GpOptions options;
-  options.optimize_hyperparams = false;
-  MultiOutputGp gp(dim, options);
-  (void)gp.Fit(SyntheticObservations(100, dim, 3));
-  GpSurrogate surrogate(&gp);
-  AcquisitionContext ctx;
-  ctx.has_feasible = true;
-  ctx.best_feasible_res = 60.0;
-  ctx.lambda_tps = 9000.0;
-  ctx.lambda_lat = 8.0;
-  Rng rng(4);
-  AcqOptimizerOptions acq;
-  acq.num_candidates = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    auto f = [&](const Vector& theta) {
-      return ConstrainedExpectedImprovement(surrogate, theta, ctx);
-    };
-    benchmark::DoNotOptimize(MaximizeAcquisition(f, dim, &rng, acq));
-  }
-}
-BENCHMARK(BM_AcquisitionOptimization)->Arg(128)->Arg(256)->Arg(512);
-
 // Fitted-model fixture shared across benchmark repetitions: google-
 // benchmark re-enters the benchmark function once per repetition, and an
 // exact n=3200 GP fit costs tens of seconds — far more than the timed
@@ -126,14 +102,12 @@ const MultiOutputGp& ExactGpFixture(size_t n, size_t dim) {
 }
 
 // Candidate-scoring throughput of the CEI sweep over the exact GP: one
-// full MaximizeAcquisition call per iteration, reporting candidates scored
-// per second plus one JSON line per configuration so the driver can diff
-// runs. Axes: training-set size n, pool size, and scalar-per-point (the
-// seed's code path) versus the blocked batch-inference path.
+// full MaximizeAcquisitionBatch call per iteration, reporting candidates
+// scored per second plus one JSON line per configuration so runs can be
+// diffed. Axes: training-set size n and pool size.
 void BM_AcquisitionThroughput(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
-  const bool batch_path = state.range(2) != 0;
   const size_t dim = 14;
   GpSurrogate surrogate(&ExactGpFixture(n, dim));
   AcquisitionContext ctx;
@@ -151,18 +125,11 @@ void BM_AcquisitionThroughput(benchmark::State& state) {
   double seconds = 0.0;
   for (auto _ : state) {
     const auto t0 = std::chrono::steady_clock::now();
-    if (batch_path) {
-      auto f = [&](const std::vector<Matrix>& blocks) {
-        return ConstrainedExpectedImprovementBatch(surrogate, blocks, ctx,
-                                                   &pool);
-      };
-      benchmark::DoNotOptimize(MaximizeAcquisitionBatch(f, dim, &rng, acq));
-    } else {
-      auto f = [&](const Vector& theta) {
-        return ConstrainedExpectedImprovement(surrogate, theta, ctx);
-      };
-      benchmark::DoNotOptimize(MaximizeAcquisition(f, dim, &rng, acq));
-    }
+    auto f = [&](const std::vector<Matrix>& blocks) {
+      return ConstrainedExpectedImprovementBatch(surrogate, blocks, ctx,
+                                                 &pool);
+    };
+    benchmark::DoNotOptimize(MaximizeAcquisitionBatch(f, dim, &rng, acq));
     seconds +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -172,22 +139,19 @@ void BM_AcquisitionThroughput(benchmark::State& state) {
       static_cast<double>(candidates), benchmark::Counter::kIsRate);
   std::printf(
       "{\"bench\":\"acq_throughput\",\"train_n\":%zu,\"threads\":%d,"
-      "\"path\":\"%s\",\"candidates_per_sec\":%.0f}\n",
-      n, threads, batch_path ? "batch" : "scalar",
+      "\"candidates_per_sec\":%.0f}\n",
+      n, threads,
       seconds > 0.0 ? static_cast<double>(candidates) / seconds : 0.0);
 }
 BENCHMARK(BM_AcquisitionThroughput)
-    ->Args({50, 1, 0})
-    ->Args({50, 1, 1})
-    ->Args({50, 4, 1})
-    ->Args({200, 1, 0})
-    ->Args({200, 1, 1})
-    ->Args({200, 4, 1})
-    ->Args({800, 1, 0})
-    ->Args({800, 1, 1})
-    ->Args({800, 4, 1})
-    ->Args({3200, 1, 1})
-    ->Args({3200, 4, 1})
+    ->Args({50, 1})
+    ->Args({50, 4})
+    ->Args({200, 1})
+    ->Args({200, 4})
+    ->Args({800, 1})
+    ->Args({800, 4})
+    ->Args({3200, 1})
+    ->Args({3200, 4})
     ->Unit(benchmark::kMillisecond);
 
 // One observation into an ensemble of range(0) base learners whose target

@@ -8,7 +8,6 @@
 
 #include "bo/lhs.h"
 #include "common/contracts.h"
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -244,29 +243,6 @@ Vector MaximizeAcquisitionBatch(const BatchAcquisitionFn& acquisition,
   }
 #endif
   return best.x;
-}
-
-Vector MaximizeAcquisition(
-    const std::function<double(const Vector&)>& acquisition, size_t dim,
-    Rng* rng, const AcqOptimizerOptions& options) {
-  ThreadPool* tp = ResolvePool(options.pool);
-  auto batch = [&acquisition, tp](const std::vector<Matrix>& blocks) {
-    std::vector<std::vector<double>> out(blocks.size());
-    // (block, row) of every value, so one range loop covers all blocks.
-    std::vector<std::pair<size_t, size_t>> cells;
-    for (size_t b = 0; b < blocks.size(); ++b) {
-      out[b].resize(blocks[b].rows());
-      for (size_t r = 0; r < blocks[b].rows(); ++r) cells.emplace_back(b, r);
-    }
-    tp->ParallelForRanges(cells.size(), [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        const auto [b, r] = cells[i];
-        out[b][r] = acquisition(blocks[b].Row(r));
-      }
-    });
-    return out;
-  };
-  return MaximizeAcquisitionBatch(batch, dim, rng, options);
 }
 
 }  // namespace restune

@@ -25,14 +25,14 @@ struct AcqOptimizerOptions {
   int refine_passes = 6;
   /// Initial refinement step, halved each pass.
   double initial_step = 0.1;
-  /// Pool the acquisition's scoring runs on (null = shared pool): the
-  /// scalar adapter's loop, and the pool the advisors hand to the batch
-  /// acquisitions. The optimizer itself runs on the calling thread and
-  /// makes one acquisition call for the sweep and one per refinement pass,
-  /// so each call is at most one pool loop. The chosen candidate is bitwise
-  /// identical for any pool size: candidates are drawn from `rng` before
-  /// any scoring, a block's values do not depend on the blocks scored with
-  /// it, and the final reduction runs in a fixed order.
+  /// Pool the acquisition's scoring runs on (null = shared pool): the pool
+  /// the advisors hand to the batch acquisitions. The optimizer itself runs
+  /// on the calling thread and makes one acquisition call for the sweep and
+  /// one per refinement pass, so each call is at most one pool loop. The
+  /// chosen candidate is bitwise identical for any pool size: candidates
+  /// are drawn from `rng` before any scoring, a block's values do not
+  /// depend on the blocks scored with it, and the final reduction runs in a
+  /// fixed order.
   ThreadPool* pool = nullptr;
   /// Optional hard veto: candidates (and refinement stencil points) for
   /// which this returns true are scored -inf and can never win. Used for
@@ -76,15 +76,6 @@ using BatchAcquisitionFn = std::function<std::vector<std::vector<double>>(
 Vector MaximizeAcquisitionBatch(const BatchAcquisitionFn& acquisition,
                                 size_t dim, Rng* rng,
                                 const AcqOptimizerOptions& options = {});
-
-/// Scalar-acquisition adapter: wraps `acquisition` into a batch function
-/// that fans the rows of all blocks out over the pool in one loop. The
-/// function must be thread-safe (const surrogate reads only). Prefer the
-/// batch overload when a batch acquisition exists — it also exploits
-/// matrix-level GP inference.
-Vector MaximizeAcquisition(
-    const std::function<double(const Vector&)>& acquisition, size_t dim,
-    Rng* rng, const AcqOptimizerOptions& options = {});
 
 }  // namespace restune
 

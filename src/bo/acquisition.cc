@@ -83,22 +83,6 @@ double ProbabilityOfFeasibility(const GpPrediction& tps,
   return p_tps * p_lat;
 }
 
-double ConstrainedExpectedImprovement(const Surrogate& surrogate,
-                                      const Vector& theta,
-                                      const AcquisitionContext& ctx) {
-  CeiEvaluationsCounter()->Add();
-  const GpPrediction tps = surrogate.PredictMetric(MetricKind::kTps, theta);
-  const GpPrediction lat = surrogate.PredictMetric(MetricKind::kLat, theta);
-  const double p_feasible =
-      ProbabilityOfFeasibility(tps, lat, ctx.lambda_tps, ctx.lambda_lat);
-  if (!ctx.has_feasible) {
-    // No incumbent yet: chase feasibility first.
-    return p_feasible;
-  }
-  const GpPrediction res = surrogate.PredictMetric(MetricKind::kRes, theta);
-  return p_feasible * ExpectedImprovement(res, ctx.best_feasible_res);
-}
-
 BlockValues ConstrainedExpectedImprovementBatch(
     const Surrogate& surrogate, const std::vector<Matrix>& blocks,
     const AcquisitionContext& ctx, ThreadPool* pool) {
@@ -123,13 +107,6 @@ BlockValues ConstrainedExpectedImprovementBatch(
       });
 }
 
-double UnconstrainedExpectedImprovement(const Surrogate& surrogate,
-                                        const Vector& theta,
-                                        const AcquisitionContext& ctx) {
-  const GpPrediction res = surrogate.PredictMetric(MetricKind::kRes, theta);
-  return ExpectedImprovement(res, ctx.best_feasible_res);
-}
-
 BlockValues UnconstrainedExpectedImprovementBatch(
     const Surrogate& surrogate, const std::vector<Matrix>& blocks,
     const AcquisitionContext& ctx, ThreadPool* pool) {
@@ -138,21 +115,6 @@ BlockValues UnconstrainedExpectedImprovementBatch(
                        return ExpectedImprovement(p[0][i],
                                                   ctx.best_feasible_res);
                      });
-}
-
-double PenalizedExpectedImprovement(const Surrogate& surrogate,
-                                    const Vector& theta,
-                                    const AcquisitionContext& ctx,
-                                    double penalty) {
-  const GpPrediction res = surrogate.PredictMetric(MetricKind::kRes, theta);
-  const GpPrediction tps = surrogate.PredictMetric(MetricKind::kTps, theta);
-  const GpPrediction lat = surrogate.PredictMetric(MetricKind::kLat, theta);
-  // Expected violations under the Gaussian posteriors.
-  const double tps_short = std::max(0.0, ctx.lambda_tps - tps.mean);
-  const double lat_over = std::max(0.0, lat.mean - ctx.lambda_lat);
-  const GpPrediction penalized{res.mean + penalty * (tps_short + lat_over),
-                               res.variance};
-  return ExpectedImprovement(penalized, ctx.best_feasible_res);
 }
 
 BlockValues PenalizedExpectedImprovementBatch(

@@ -31,55 +31,42 @@ double ProbabilityOfFeasibility(const GpPrediction& tps,
                                 const GpPrediction& lat, double lambda_tps,
                                 double lambda_lat);
 
-/// Constrained Expected Improvement (paper Eq. 5):
-///   CEI(θ) = Pr[feasible] * EI(θ).
-/// Before any feasible point is known, returns the probability of
-/// feasibility alone, so the search is first driven into the feasible
-/// region — the standard Gardner et al. behaviour the paper builds on.
-double ConstrainedExpectedImprovement(const Surrogate& surrogate,
-                                      const Vector& theta,
-                                      const AcquisitionContext& ctx);
-
 /// Acquisition values of a list of candidate blocks: one vector per block,
 /// one value per row.
 using BlockValues = std::vector<std::vector<double>>;
 
-/// CEI over every row of every block through the surrogate's batch path.
+/// Constrained Expected Improvement (paper Eq. 5) of every row of every
+/// block:
+///   CEI(θ) = Pr[feasible] * EI(θ).
+/// Before any feasible point is known, returns the probability of
+/// feasibility alone, so the search is first driven into the feasible
+/// region — the standard Gardner et al. behaviour the paper builds on.
+///
 /// The metric posteriors come from one pool loop over (block, metric)
 /// tasks; each task is one `Surrogate::PredictMetricBatch` call on its
 /// block, run inline inside the task. The posteriors are then combined per
-/// row, so value i of a block equals the scalar CEI of its row i, and a
+/// row with `ProbabilityOfFeasibility` and `ExpectedImprovement`, so a
 /// block's values are bitwise what scoring it alone gives. A call holding
 /// fewer rows in total than `ThreadPool::kRangeGrain` runs every task
 /// inline. Values are bitwise identical for any pool size (null = shared
 /// pool), so callers can hand the acquisition optimizer's pool straight
-/// through.
+/// through. Each scored row adds one to
+/// `restune_acq_cei_evaluations_total`.
 BlockValues ConstrainedExpectedImprovementBatch(
     const Surrogate& surrogate, const std::vector<Matrix>& blocks,
     const AcquisitionContext& ctx, ThreadPool* pool = nullptr);
 
 /// Plain EI on the resource objective, ignoring constraints — the
 /// acquisition used by the iTuned baseline (Section 7, "iTuned").
-double UnconstrainedExpectedImprovement(const Surrogate& surrogate,
-                                        const Vector& theta,
-                                        const AcquisitionContext& ctx);
-
-/// Batch counterpart of `UnconstrainedExpectedImprovement`, scheduled like
-/// the CEI batch.
+/// Scheduled like the CEI batch.
 BlockValues UnconstrainedExpectedImprovementBatch(
     const Surrogate& surrogate, const std::vector<Matrix>& blocks,
     const AcquisitionContext& ctx, ThreadPool* pool = nullptr);
 
 /// Penalty-based alternative kept for ablation (Section 2 cites penalty
 /// methods as the simplest constrained-BO approach): EI computed on
-/// res + penalty * E[constraint violation].
-double PenalizedExpectedImprovement(const Surrogate& surrogate,
-                                    const Vector& theta,
-                                    const AcquisitionContext& ctx,
-                                    double penalty);
-
-/// Batch counterpart of `PenalizedExpectedImprovement`, scheduled like the
-/// CEI batch.
+/// res + penalty * (constraint violation of the posterior means).
+/// Scheduled like the CEI batch.
 BlockValues PenalizedExpectedImprovementBatch(
     const Surrogate& surrogate, const std::vector<Matrix>& blocks,
     const AcquisitionContext& ctx, double penalty,

@@ -510,12 +510,6 @@ double MetaLearner::RescaledThreshold(MetricKind kind,
   return PredictMetric(kind, default_theta).mean;
 }
 
-double MetaLearner::StandardizeTargetMetric(MetricKind kind,
-                                            double raw_value) const {
-  if (target_raw_.size() < 2) return raw_value;
-  return target_standardizer_.Standardize(kind, raw_value);
-}
-
 std::vector<double> MetaLearner::MeanRankingLossFractions() const {
   if (last_loss_fractions_.empty()) return {};
   return std::vector<double>(last_loss_fractions_.begin(),

@@ -73,9 +73,9 @@ class MetaLearner : public Surrogate {
   Status AddFailure(const Vector& theta, double penalty_tps,
                     double penalty_lat);
 
-  /// Ensemble posterior, in standardized target-task units.
-  GpPrediction PredictMetric(MetricKind kind,
-                             const Vector& theta) const override;
+  /// Ensemble posterior at one configuration, in standardized target-task
+  /// units. `RescaledThreshold` and ResTune's incumbent use it.
+  GpPrediction PredictMetric(MetricKind kind, const Vector& theta) const;
 
   /// Ensemble posterior for a whole candidate block: every member's means
   /// (and the target's variance) come from its GP batch-inference path, so
@@ -87,14 +87,10 @@ class MetaLearner : public Surrogate {
       MetricKind kind, const Matrix& thetas,
       ThreadPool* pool = nullptr) const override;
 
-  size_t dim() const override { return dim_; }
+  size_t dim() const { return dim_; }
 
   /// Re-scaled constraint threshold λ'_u = L_M(θ_default) (Section 6.1).
   double RescaledThreshold(MetricKind kind, const Vector& default_theta) const;
-
-  /// Maps a raw target metric into the surrogate's output units (for the
-  /// incumbent passed to CEI). Identity until two observations exist.
-  double StandardizeTargetMetric(MetricKind kind, double raw_value) const;
 
   /// True while static (meta-feature) weighting is in effect.
   bool in_static_phase() const;

@@ -33,10 +33,11 @@ struct ForestPrediction {
 
 /// Quantile regression forest (Meinshausen-style): an extra-trees ensemble
 /// whose leaves keep their training samples, so any posterior quantile —
-/// not just the mean — can be read off the pooled leaf distribution. The
-/// tuner uses it as the O(log n)-per-query approximate surrogate backend:
-/// where GP inference scales O(n^2) per candidate, a forest walk touches
-/// `num_trees * depth` nodes.
+/// not just the mean — can be read off the pooled leaf distribution. Where
+/// GP inference scales O(n^2) per candidate, a forest walk touches
+/// `num_trees * depth` nodes. No advisor uses it yet: it waits for a
+/// measured place as a `Surrogate` behind the suggestion step (ROADMAP
+/// item 5).
 ///
 /// Mean and variance come from the law of total variance across trees
 /// (mean of leaf variances + variance of leaf means), which behaves like a

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bo/acq_optimizer.h"
 #include "bo/acquisition.h"
@@ -108,20 +110,36 @@ TEST(ProbabilityOfFeasibilityTest, ProductOfIndependentConstraints) {
 /// below threshold when θ₀ < 0.3 (so low θ₀ is infeasible).
 class FakeSurrogate : public Surrogate {
  public:
-  GpPrediction PredictMetric(MetricKind kind,
-                             const Vector& theta) const override {
+  /// The closed-form posterior of `kind` at θ₀ = x.
+  static GpPrediction Posterior(MetricKind kind, double x) {
     switch (kind) {
       case MetricKind::kRes:
-        return {theta[0], 0.01};
+        return {x, 0.01};
       case MetricKind::kTps:
-        return {theta[0] * 1000.0, 1.0};
+        return {x * 1000.0, 1.0};
       case MetricKind::kLat:
         return {1.0, 0.01};
     }
     return {};
   }
-  size_t dim() const override { return 1; }
+
+  std::vector<GpPrediction> PredictMetricBatch(
+      MetricKind kind, const Matrix& thetas,
+      ThreadPool* /*pool*/ = nullptr) const override {
+    std::vector<GpPrediction> out(thetas.rows());
+    for (size_t r = 0; r < thetas.rows(); ++r) {
+      out[r] = Posterior(kind, thetas(r, 0));
+    }
+    return out;
+  }
 };
+
+/// One single-knob candidate block, one row per value.
+Matrix Column(const std::vector<double>& values) {
+  Matrix block(values.size(), 1);
+  for (size_t r = 0; r < values.size(); ++r) block(r, 0) = values[r];
+  return block;
+}
 
 TEST(ConstrainedEiTest, PrefersFeasibleOverInfeasibleMinimum) {
   FakeSurrogate surrogate;
@@ -131,11 +149,11 @@ TEST(ConstrainedEiTest, PrefersFeasibleOverInfeasibleMinimum) {
   ctx.lambda_tps = 300.0;  // θ₀ >= 0.3 feasible
   ctx.lambda_lat = 10.0;
   // θ₀ = 0.05 has the lowest res but almost surely violates the tps bound.
-  const double infeasible =
-      ConstrainedExpectedImprovement(surrogate, {0.05}, ctx);
-  const double feasible =
-      ConstrainedExpectedImprovement(surrogate, {0.4}, ctx);
-  EXPECT_GT(feasible, infeasible);
+  const std::vector<double> cei =
+      ConstrainedExpectedImprovementBatch(surrogate, {Column({0.05, 0.4})},
+                                          ctx)
+          .front();
+  EXPECT_GT(cei[1], cei[0]);
 }
 
 TEST(ConstrainedEiTest, ChasesFeasibilityWhenNoIncumbent) {
@@ -145,10 +163,12 @@ TEST(ConstrainedEiTest, ChasesFeasibilityWhenNoIncumbent) {
   ctx.lambda_tps = 300.0;
   ctx.lambda_lat = 10.0;
   // Without an incumbent CEI reduces to the probability of feasibility.
-  const double low = ConstrainedExpectedImprovement(surrogate, {0.1}, ctx);
-  const double high = ConstrainedExpectedImprovement(surrogate, {0.9}, ctx);
-  EXPECT_GT(high, low);
-  EXPECT_LE(high, 1.0 + 1e-9);
+  const std::vector<double> cei =
+      ConstrainedExpectedImprovementBatch(surrogate, {Column({0.1, 0.9})},
+                                          ctx)
+          .front();
+  EXPECT_GT(cei[1], cei[0]);
+  EXPECT_LE(cei[1], 1.0 + 1e-9);
 }
 
 TEST(UnconstrainedEiTest, IgnoresConstraints) {
@@ -157,11 +177,11 @@ TEST(UnconstrainedEiTest, IgnoresConstraints) {
   ctx.has_feasible = true;
   ctx.best_feasible_res = 0.8;
   ctx.lambda_tps = 1e9;  // impossible constraint — must be ignored
-  const double at_min = UnconstrainedExpectedImprovement(surrogate, {0.05},
-                                                         ctx);
-  const double at_mid = UnconstrainedExpectedImprovement(surrogate, {0.5},
-                                                         ctx);
-  EXPECT_GT(at_min, at_mid);
+  const std::vector<double> ei =
+      UnconstrainedExpectedImprovementBatch(surrogate, {Column({0.05, 0.5})},
+                                            ctx)
+          .front();
+  EXPECT_GT(ei[0], ei[1]);
 }
 
 TEST(PenalizedEiTest, PenaltyDiscouragesViolations) {
@@ -171,14 +191,14 @@ TEST(PenalizedEiTest, PenaltyDiscouragesViolations) {
   ctx.best_feasible_res = 0.8;
   ctx.lambda_tps = 300.0;
   ctx.lambda_lat = 10.0;
-  const double mild =
-      PenalizedExpectedImprovement(surrogate, {0.05}, ctx, 0.0001);
-  const double harsh =
-      PenalizedExpectedImprovement(surrogate, {0.05}, ctx, 100.0);
-  EXPECT_GE(mild, harsh);
+  const auto at_low_res = [&](double penalty) {
+    return PenalizedExpectedImprovementBatch(surrogate, {Column({0.05})}, ctx,
+                                             penalty)[0][0];
+  };
+  EXPECT_GE(at_low_res(0.0001), at_low_res(100.0));
 }
 
-TEST(BatchAcquisitionTest, BatchVariantsMatchScalarVariants) {
+TEST(BatchAcquisitionTest, BatchVariantsMatchPerRowFormulas) {
   FakeSurrogate surrogate;
   AcquisitionContext ctx;
   ctx.has_feasible = true;
@@ -199,19 +219,25 @@ TEST(BatchAcquisitionTest, BatchVariantsMatchScalarVariants) {
   ASSERT_EQ(ei.size(), m);
   ASSERT_EQ(pen.size(), m);
   for (size_t i = 0; i < m; ++i) {
-    const Vector theta = thetas.Row(i);
-    EXPECT_NEAR(cei[i], ConstrainedExpectedImprovement(surrogate, theta, ctx),
-                1e-12);
-    EXPECT_NEAR(ei[i],
-                UnconstrainedExpectedImprovement(surrogate, theta, ctx),
-                1e-12);
-    EXPECT_NEAR(pen[i],
-                PenalizedExpectedImprovement(surrogate, theta, ctx, 0.5),
-                1e-12);
+    const double x = thetas(i, 0);
+    const GpPrediction res = FakeSurrogate::Posterior(MetricKind::kRes, x);
+    const GpPrediction tps = FakeSurrogate::Posterior(MetricKind::kTps, x);
+    const GpPrediction lat = FakeSurrogate::Posterior(MetricKind::kLat, x);
+    EXPECT_DOUBLE_EQ(cei[i], ProbabilityOfFeasibility(tps, lat, ctx.lambda_tps,
+                                                      ctx.lambda_lat) *
+                                 ExpectedImprovement(res,
+                                                     ctx.best_feasible_res));
+    EXPECT_DOUBLE_EQ(ei[i], ExpectedImprovement(res, ctx.best_feasible_res));
+    const double violation = std::max(0.0, ctx.lambda_tps - tps.mean) +
+                             std::max(0.0, lat.mean - ctx.lambda_lat);
+    EXPECT_DOUBLE_EQ(pen[i],
+                     ExpectedImprovement({res.mean + 0.5 * violation,
+                                          res.variance},
+                                         ctx.best_feasible_res));
   }
 }
 
-TEST(BatchAcquisitionTest, BatchCeiWithoutIncumbentMatchesScalar) {
+TEST(BatchAcquisitionTest, BatchCeiWithoutIncumbentIsProbabilityOfFeasibility) {
   FakeSurrogate surrogate;
   AcquisitionContext ctx;
   ctx.has_feasible = false;  // exercises the skipped-res-batch branch
@@ -221,11 +247,41 @@ TEST(BatchAcquisitionTest, BatchCeiWithoutIncumbentMatchesScalar) {
   for (size_t i = 0; i < 5; ++i) thetas(i, 0) = 0.1 + 0.2 * i;
   const auto batch =
       ConstrainedExpectedImprovementBatch(surrogate, {thetas}, ctx).front();
+  ASSERT_EQ(batch.size(), 5u);
   for (size_t i = 0; i < 5; ++i) {
-    EXPECT_NEAR(batch[i],
-                ConstrainedExpectedImprovement(surrogate, thetas.Row(i), ctx),
-                1e-12);
+    const double x = thetas(i, 0);
+    EXPECT_DOUBLE_EQ(
+        batch[i],
+        ProbabilityOfFeasibility(FakeSurrogate::Posterior(MetricKind::kTps, x),
+                                 FakeSurrogate::Posterior(MetricKind::kLat, x),
+                                 ctx.lambda_tps, ctx.lambda_lat));
   }
+}
+
+TEST(BatchAcquisitionTest, CeiEvaluationsCounterCountsScoredRows) {
+  // perfbench's bo.cei_evals_per_suggest is built on this counter: one per
+  // scored candidate row. 64 + 28 rows is past the pool's range grain, so
+  // the call takes the pool path.
+  FakeSurrogate surrogate;
+  AcquisitionContext ctx;
+  ctx.has_feasible = true;
+  ctx.best_feasible_res = 0.8;
+  ctx.lambda_tps = 300.0;
+  ctx.lambda_lat = 10.0;
+  std::vector<Matrix> blocks;
+  for (size_t rows : {size_t{64}, size_t{28}}) {
+    Matrix& block = blocks.emplace_back(rows, 1);
+    for (size_t r = 0; r < rows; ++r) block(r, 0) = (r + 0.5) / rows;
+  }
+  obs::Counter* counter = obs::MetricsRegistry::Global()->GetCounter(
+      "restune_acq_cei_evaluations_total");
+  const int64_t before = counter->Value();
+  const BlockValues values =
+      ConstrainedExpectedImprovementBatch(surrogate, blocks, ctx);
+  EXPECT_EQ(counter->Value() - before, 92);
+  ASSERT_EQ(values.size(), 2u);
+  EXPECT_EQ(values[0].size(), 64u);
+  EXPECT_EQ(values[1].size(), 28u);
 }
 
 TEST(BatchAcquisitionTest, CeiBatchIsPoolSizeInvariant) {
@@ -277,16 +333,31 @@ TEST(BatchAcquisitionTest, CeiBatchIsPoolSizeInvariant) {
   }
 }
 
+/// The block form of a closed-form test objective: scores every row of
+/// every block with `value`, one row after another.
+BatchAcquisitionFn RowByRow(const std::function<double(const Vector&)>& value) {
+  return [value](const std::vector<Matrix>& blocks) {
+    std::vector<std::vector<double>> out;
+    for (const Matrix& thetas : blocks) {
+      std::vector<double>& values = out.emplace_back(thetas.rows());
+      for (size_t r = 0; r < thetas.rows(); ++r) {
+        values[r] = value(thetas.Row(r));
+      }
+    }
+    return out;
+  };
+}
+
 TEST(AcqOptimizerTest, FindsGlobalRegionOfSimpleFunction) {
   Rng rng(4);
-  auto acquisition = [](const Vector& x) {
+  const BatchAcquisitionFn acquisition = RowByRow([](const Vector& x) {
     // Peak at (0.7, 0.2).
     const double dx = x[0] - 0.7, dy = x[1] - 0.2;
     return std::exp(-20.0 * (dx * dx + dy * dy));
-  };
+  });
   AcqOptimizerOptions options;
   options.num_candidates = 512;
-  const Vector best = MaximizeAcquisition(acquisition, 2, &rng, options);
+  const Vector best = MaximizeAcquisitionBatch(acquisition, 2, &rng, options);
   EXPECT_NEAR(best[0], 0.7, 0.1);
   EXPECT_NEAR(best[1], 0.2, 0.1);
 }
@@ -294,8 +365,9 @@ TEST(AcqOptimizerTest, FindsGlobalRegionOfSimpleFunction) {
 TEST(AcqOptimizerTest, StaysInUnitBox) {
   Rng rng(4);
   // Monotone function pushing toward the boundary.
-  auto acquisition = [](const Vector& x) { return x[0] - x[1]; };
-  const Vector best = MaximizeAcquisition(acquisition, 2, &rng);
+  const BatchAcquisitionFn acquisition =
+      RowByRow([](const Vector& x) { return x[0] - x[1]; });
+  const Vector best = MaximizeAcquisitionBatch(acquisition, 2, &rng);
   EXPECT_GE(best[0], 0.0);
   EXPECT_LE(best[0], 1.0);
   EXPECT_GE(best[1], 0.0);
@@ -306,18 +378,19 @@ TEST(AcqOptimizerTest, StaysInUnitBox) {
 
 TEST(AcqOptimizerTest, RefinementImprovesOverBestCandidate) {
   Rng rng_a(8), rng_b(8);
-  auto acquisition = [](const Vector& x) {
+  const BatchAcquisitionFn acquisition = RowByRow([](const Vector& x) {
     const double d = x[0] - 0.515;
     return -d * d;
-  };
+  });
   AcqOptimizerOptions coarse;
   coarse.num_candidates = 16;
   coarse.num_refine = 0;
   AcqOptimizerOptions refined = coarse;
   refined.num_refine = 3;
   refined.refine_passes = 4;
-  const Vector without = MaximizeAcquisition(acquisition, 1, &rng_a, coarse);
-  const Vector with = MaximizeAcquisition(acquisition, 1, &rng_b, refined);
+  const Vector without =
+      MaximizeAcquisitionBatch(acquisition, 1, &rng_a, coarse);
+  const Vector with = MaximizeAcquisitionBatch(acquisition, 1, &rng_b, refined);
   EXPECT_LE(std::fabs(with[0] - 0.515), std::fabs(without[0] - 0.515) + 1e-9);
 }
 
@@ -359,45 +432,14 @@ TEST(AcqOptimizerTest, ChosenCandidateBitwiseIdenticalAcrossPoolSizes) {
   }
 }
 
-TEST(AcqOptimizerTest, ScalarAdapterBitwiseIdenticalAcrossPoolSizes) {
-  auto acquisition = [](const Vector& x) {
-    return -std::fabs(x[0] - 0.42) - 0.5 * std::cos(9.0 * x[1]);
-  };
-  ThreadPool serial(1), parallel(4);
-  AcqOptimizerOptions serial_opts;
-  serial_opts.pool = &serial;
-  AcqOptimizerOptions parallel_opts;
-  parallel_opts.pool = &parallel;
-
-  Rng rng_a(777), rng_b(777);
-  const Vector a = MaximizeAcquisition(acquisition, 2, &rng_a, serial_opts);
-  const int64_t loops_before = PoolLoops();
-  const Vector b = MaximizeAcquisition(acquisition, 2, &rng_b, parallel_opts);
-  EXPECT_GT(PoolLoops(), loops_before);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t d = 0; d < a.size(); ++d) {
-    EXPECT_EQ(a[d], b[d]) << "dim " << d << " differs between pool sizes";
-  }
-}
-
 TEST(AcqOptimizerTest, ZeroRefineReturnsSweepBest) {
   // With refinement disabled the result must still be the best-scoring
   // candidate of the sweep, not an arbitrary (e.g. the first) sample.
-  auto value = [](double x0, double x1) {
-    const double dx = x0 - 0.3, dy = x1 - 0.7;
+  const auto value = [](const Vector& x) {
+    const double dx = x[0] - 0.3, dy = x[1] - 0.7;
     return -(dx * dx + dy * dy);
   };
-  BatchAcquisitionFn acquisition =
-      [&value](const std::vector<Matrix>& blocks) {
-        std::vector<std::vector<double>> out;
-        for (const Matrix& thetas : blocks) {
-          std::vector<double>& values = out.emplace_back(thetas.rows());
-          for (size_t r = 0; r < thetas.rows(); ++r) {
-            values[r] = value(thetas(r, 0), thetas(r, 1));
-          }
-        }
-        return out;
-      };
+  const BatchAcquisitionFn acquisition = RowByRow(value);
   AcqOptimizerOptions options;
   options.num_candidates = 64;
   options.num_refine = 0;
@@ -407,10 +449,7 @@ TEST(AcqOptimizerTest, ZeroRefineReturnsSweepBest) {
   const auto samples = UniformSample(64, 2, &sweep_rng);
   size_t best_row = 0;
   for (size_t r = 1; r < samples.size(); ++r) {
-    if (value(samples[r][0], samples[r][1]) >
-        value(samples[best_row][0], samples[best_row][1])) {
-      best_row = r;
-    }
+    if (value(samples[r]) > value(samples[best_row])) best_row = r;
   }
 
   Rng rng(4242);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <tuple>
+#include <vector>
 
 #include "bo/acquisition.h"
 #include "bo/lhs.h"
@@ -64,20 +65,38 @@ class CeiProperty : public ::testing::TestWithParam<double> {
   /// sweep's threshold).
   class LinearSurrogate : public Surrogate {
    public:
-    GpPrediction PredictMetric(MetricKind kind,
-                               const Vector& theta) const override {
+    /// The closed-form posterior of `kind` at θ₀ = x.
+    static GpPrediction Posterior(MetricKind kind, double x) {
       switch (kind) {
         case MetricKind::kRes:
-          return {theta[0] * 100.0, 4.0};
+          return {x * 100.0, 4.0};
         case MetricKind::kTps:
-          return {theta[0] * 1000.0, 100.0};
+          return {x * 1000.0, 100.0};
         case MetricKind::kLat:
           return {5.0, 0.01};
       }
       return {};
     }
-    size_t dim() const override { return 1; }
+
+    std::vector<GpPrediction> PredictMetricBatch(
+        MetricKind kind, const Matrix& thetas,
+        ThreadPool* /*pool*/ = nullptr) const override {
+      std::vector<GpPrediction> out(thetas.rows());
+      for (size_t r = 0; r < thetas.rows(); ++r) {
+        out[r] = Posterior(kind, thetas(r, 0));
+      }
+      return out;
+    }
   };
+
+  /// One single-knob block with rows 0, step, 2·step, ... up to 1.
+  static Matrix Sweep(double step) {
+    std::vector<double> xs;
+    for (double t = 0.0; t <= 1.0; t += step) xs.push_back(t);
+    Matrix block(xs.size(), 1);
+    for (size_t r = 0; r < xs.size(); ++r) block(r, 0) = xs[r];
+    return block;
+  }
 };
 
 TEST_P(CeiProperty, NonNegativeAndBoundedByEi) {
@@ -88,15 +107,17 @@ TEST_P(CeiProperty, NonNegativeAndBoundedByEi) {
   ctx.best_feasible_res = 50.0;
   ctx.lambda_tps = lambda_tps;
   ctx.lambda_lat = 10.0;
-  for (double t = 0.0; t <= 1.0; t += 0.05) {
-    const Vector theta = {t};
-    const double cei = ConstrainedExpectedImprovement(surrogate, theta, ctx);
+  const Matrix thetas = Sweep(0.05);
+  const std::vector<double> cei =
+      ConstrainedExpectedImprovementBatch(surrogate, {thetas}, ctx).front();
+  ASSERT_EQ(cei.size(), thetas.rows());
+  for (size_t r = 0; r < thetas.rows(); ++r) {
     const double ei = ExpectedImprovement(
-        surrogate.PredictMetric(MetricKind::kRes, theta),
+        LinearSurrogate::Posterior(MetricKind::kRes, thetas(r, 0)),
         ctx.best_feasible_res);
-    EXPECT_GE(cei, 0.0);
+    EXPECT_GE(cei[r], 0.0);
     // Feasibility probability is <= 1, so CEI <= EI (paper Eq. 5).
-    EXPECT_LE(cei, ei + 1e-9);
+    EXPECT_LE(cei[r], ei + 1e-9);
   }
 }
 
@@ -109,9 +130,14 @@ TEST_P(CeiProperty, TighterConstraintNeverRaisesAcquisition) {
   loose.lambda_lat = tight.lambda_lat = 10.0;
   loose.lambda_tps = lambda_tps;
   tight.lambda_tps = lambda_tps + 200.0;
-  for (double t = 0.0; t <= 1.0; t += 0.1) {
-    EXPECT_LE(ConstrainedExpectedImprovement(surrogate, {t}, tight),
-              ConstrainedExpectedImprovement(surrogate, {t}, loose) + 1e-12);
+  const Matrix thetas = Sweep(0.1);
+  const std::vector<double> tight_cei =
+      ConstrainedExpectedImprovementBatch(surrogate, {thetas}, tight).front();
+  const std::vector<double> loose_cei =
+      ConstrainedExpectedImprovementBatch(surrogate, {thetas}, loose).front();
+  ASSERT_EQ(tight_cei.size(), thetas.rows());
+  for (size_t r = 0; r < thetas.rows(); ++r) {
+    EXPECT_LE(tight_cei[r], loose_cei[r] + 1e-12);
   }
 }
 

@@ -9,9 +9,9 @@ per benchmark configuration:
      "cpu_ms_median": 241.7, "iterations": 5}
 
 * ``bench`` is the benchmark's base name; argument positions beyond the
-  first two (e.g. the scalar-vs-batch flag of BM_AcquisitionThroughput)
-  are folded into the name as ``/arg`` so every line keys uniquely on
-  (bench, n, threads).
+  first two, and named components such as ``iterations:2`` or
+  ``real_time``, are folded into the name as ``/arg`` so every line keys
+  uniquely on (bench, n, threads).
 * ``n`` and ``threads`` are the first two benchmark arguments (0 if the
   benchmark takes fewer).
 * ``cpu_ms_median`` is the median CPU time across repetitions, in ms.
