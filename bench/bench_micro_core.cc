@@ -2,23 +2,31 @@
 // Table 3: GP fitting / prediction, acquisition optimization, meta-learner
 // weight updates, and one full simulator evaluation. These quantify the
 // "Model Update" and "Knobs Recommendation" costs independent of workload
-// replay.
+// replay. The last two time the served server's durable write: the CRC-32
+// that seals every file, and one whole checkpoint of the paper repository.
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <memory>
+#include <string>
 
 #include "bo/acq_optimizer.h"
 #include "bo/acquisition.h"
 #include "bo/lhs.h"
+#include "common/byte_codec.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "dbsim/simulator.h"
 #include "gp/multi_output_gp.h"
 #include "meta/meta_learner.h"
+#include "service/restune_server.h"
+#include "tuner/harness.h"
 
 namespace restune {
 namespace {
@@ -201,6 +209,57 @@ void BM_SimulatorEvaluate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulatorEvaluate);
+
+// CRC-32 over range(0) bytes; 640 KiB is about one served checkpoint of
+// the paper repository.
+void BM_Crc32(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  Rng rng(6);
+  std::string bytes(n, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.NextUint64() & 0xff);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(bytes));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * n));
+}
+BENCHMARK(BM_Crc32)->Arg(640 << 10)->Unit(benchmark::kMicrosecond);
+
+// One SaveCheckpointFile of a server holding the paper's 34-task
+// repository (14 CPU knobs, 80 observations per task): encode, CRC, write
+// and rename, which a durable server pays on every state change.
+void BM_ServerCheckpoint(benchmark::State& state) {
+  // Built once per process: benchmark functions re-enter per repetition.
+  // restune-lint: allow(naked-new) -- intentional leak, bench fixture
+  static auto* server = new ResTuneServer();
+  static const bool filled = [] {
+    const DataRepository paper = BuildPaperRepository(
+        CpuKnobSpace(), TrainDefaultCharacterizer(7), ExperimentConfig{});
+    for (const TuningTask& task : paper.tasks()) {
+      if (!server->AddHistoricalTask(task).ok()) return false;
+    }
+    return true;
+  }();
+  if (!filled) {
+    state.SkipWithError("could not fill the repository");
+    return;
+  }
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("restune_bm_checkpoint_" + std::to_string(getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "server.ckpt").string();
+  for (auto _ : state) {
+    if (!server->SaveCheckpointFile(path).ok()) {
+      state.SkipWithError("checkpoint failed");
+      break;
+    }
+  }
+  std::error_code ec;
+  state.counters["bytes"] =
+      static_cast<double>(std::filesystem::file_size(path, ec));
+  std::filesystem::remove_all(dir, ec);
+}
+BENCHMARK(BM_ServerCheckpoint)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace restune

@@ -12,16 +12,46 @@ namespace {
 
 constexpr char kFileMagic[4] = {'R', 'T', 'N', 'F'};
 
-std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
+/// Slicing-by-16 tables: tables[0] is the bytewise table of the reflected
+/// polynomial, and tables[k][b] is the CRC of byte b followed by k zero
+/// bytes, so one step folds sixteen input bytes with sixteen lookups.
+using CrcTables = std::array<std::array<uint32_t, 256>, 16>;
+
+CrcTables MakeCrcTables() {
+  CrcTables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xffu];
+    }
+  }
+  return tables;
+}
+
+/// Little-endian store and load of an unsigned integer, byte by byte, so
+/// they hold on any host byte order and never make an unaligned access
+/// (compilers fuse them into one move where that is safe).
+template <typename T>
+void StoreLe(T value, char* dst) {
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    dst[i] = static_cast<char>((value >> (8 * i)) & 0xff);
+  }
+}
+
+template <typename T>
+T LoadLe(const char* src) {
+  T value = 0;
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    value |= static_cast<T>(static_cast<uint8_t>(src[i])) << (8 * i);
+  }
+  return value;
 }
 
 std::string FileHeader(FileKind kind, std::string_view payload) {
@@ -87,9 +117,7 @@ Status Unseal(FileKind kind, std::string* bytes) {
 template <typename T>
 void ByteWriter::PutLe(T value) {
   char bytes[sizeof(T)];
-  for (size_t i = 0; i < sizeof(T); ++i) {
-    bytes[i] = static_cast<char>((value >> (8 * i)) & 0xff);
-  }
+  StoreLe(value, bytes);
   out_.append(bytes, sizeof(T));
 }
 
@@ -109,7 +137,15 @@ void ByteWriter::PutString(std::string_view value) {
 
 void ByteWriter::PutVector(const std::vector<double>& value) {
   PutU32(static_cast<uint32_t>(value.size()));
-  for (double v : value) PutF64(v);
+  const size_t at = out_.size();
+  out_.resize(at + sizeof(double) * value.size());
+  char* dst = out_.data() + at;
+  for (double v : value) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    StoreLe(bits, dst);
+    dst += sizeof(bits);
+  }
 }
 
 Status ByteReader::Need(size_t n) const {
@@ -128,12 +164,8 @@ Status ByteReader::GetU8(uint8_t* value) {
 template <typename T>
 Status ByteReader::GetLe(T* value) {
   RESTUNE_RETURN_IF_ERROR(Need(sizeof(T)));
-  T out = 0;
-  for (size_t i = 0; i < sizeof(T); ++i) {
-    out |= static_cast<T>(static_cast<uint8_t>(data_[pos_ + i])) << (8 * i);
-  }
+  *value = LoadLe<T>(data_.data() + pos_);
   pos_ += sizeof(T);
-  *value = out;
   return Status::OK();
 }
 
@@ -172,11 +204,17 @@ Status ByteReader::GetString(std::string* value) {
 
 Status ByteReader::GetVector(std::vector<double>* value) {
   uint32_t count = 0;
-  RESTUNE_RETURN_IF_ERROR(GetCount(&count, 8));
+  // The count is checked against the bytes present before the one resize,
+  // so the loop below reads only bytes that exist.
+  RESTUNE_RETURN_IF_ERROR(GetCount(&count, sizeof(double)));
   value->resize(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    RESTUNE_RETURN_IF_ERROR(GetF64(&(*value)[i]));
+  const char* src = data_.data() + pos_;
+  for (double& v : *value) {
+    const uint64_t bits = LoadLe<uint64_t>(src);
+    std::memcpy(&v, &bits, sizeof(v));
+    src += sizeof(bits);
   }
+  pos_ += sizeof(double) * count;
   return Status::OK();
 }
 
@@ -206,10 +244,24 @@ Status ByteReader::ExpectEnd() const {
 }
 
 uint32_t Crc32(std::string_view data) {
-  static const std::array<uint32_t, 256> table = MakeCrcTable();
+  static const CrcTables t = MakeCrcTables();
+  const char* p = data.data();
+  size_t n = data.size();
   uint32_t crc = 0xFFFFFFFFu;
-  for (char c : data) {
-    crc = (crc >> 8) ^ table[(crc ^ static_cast<uint8_t>(c)) & 0xffu];
+  // Sixteen bytes per step: the CRC is folded into the first four, and
+  // each byte's table accounts for the bytes that follow it in the step.
+  for (; n >= 16; p += 16, n -= 16) {
+    const uint32_t w = crc ^ LoadLe<uint32_t>(p);
+    const auto* b = reinterpret_cast<const unsigned char*>(p);
+    uint32_t next = t[15][w & 0xffu] ^ t[14][(w >> 8) & 0xffu];
+    next ^= t[13][(w >> 16) & 0xffu] ^ t[12][w >> 24];
+    next ^= t[11][b[4]] ^ t[10][b[5]] ^ t[9][b[6]] ^ t[8][b[7]];
+    next ^= t[7][b[8]] ^ t[6][b[9]] ^ t[5][b[10]] ^ t[4][b[11]];
+    next ^= t[3][b[12]] ^ t[2][b[13]] ^ t[1][b[14]] ^ t[0][b[15]];
+    crc = next;
+  }
+  for (; n > 0; ++p, --n) {
+    crc = (crc >> 8) ^ t[0][(crc ^ static_cast<uint8_t>(*p)) & 0xffu];
   }
   return crc ^ 0xFFFFFFFFu;
 }

@@ -39,6 +39,9 @@ class ByteWriter {
   /// Raw bytes, no length prefix.
   void PutBytes(std::string_view bytes) { out_.append(bytes); }
 
+  /// Room for `n` bytes in one allocation; the bytes written are the same.
+  void Reserve(size_t n) { out_.reserve(n); }
+
   std::string Take() { return std::move(out_); }
   const std::string& str() const { return out_; }
 
@@ -92,7 +95,10 @@ class ByteReader {
   size_t pos_ = 0;
 };
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320). Computed by
+/// slicing-by-16 (sixteen bytes per step from sixteen 256-entry tables,
+/// then a bytewise tail); its values are those of the classic bytewise
+/// loop, so every sealed file and frame keeps its bytes.
 uint32_t Crc32(std::string_view data);
 
 /// --- File envelope ------------------------------------------------------

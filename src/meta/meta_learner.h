@@ -87,8 +87,6 @@ class MetaLearner : public Surrogate {
       MetricKind kind, const Matrix& thetas,
       ThreadPool* pool = nullptr) const override;
 
-  size_t dim() const { return dim_; }
-
   /// Re-scaled constraint threshold λ'_u = L_M(θ_default) (Section 6.1).
   double RescaledThreshold(MetricKind kind, const Vector& default_theta) const;
 

@@ -317,6 +317,9 @@ void ResTuneServer::MaybeAutoCheckpoint() {
 
 std::string ResTuneServer::EncodeCheckpointLocked() const {
   ByteWriter out;
+  // One allocation instead of a doubling series: the last checkpoint's
+  // size plus an eighth, so a checkpoint that grew a little still fits.
+  out.Reserve(last_checkpoint_bytes_ + last_checkpoint_bytes_ / 8);
   out.PutU64(next_session_id_);
   out.PutU32(static_cast<uint32_t>(repository_.num_tasks()));
   for (const TuningTask& task : repository_.tasks()) {
@@ -342,6 +345,7 @@ std::string ResTuneServer::EncodeCheckpointLocked() const {
     out.PutU32(static_cast<uint32_t>(core.log().size()));
     for (const EventRecord& event : core.log()) WriteEventRecord(&out, event);
   }
+  last_checkpoint_bytes_ = out.str().size();
   return out.Take();
 }
 

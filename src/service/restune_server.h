@@ -228,6 +228,8 @@ class ResTuneServer {
   std::map<uint64_t, SessionSummary> finished_ GUARDED_BY(mu_);
   uint64_t next_session_id_ GUARDED_BY(mu_) = 1;
   uint64_t mutations_ GUARDED_BY(mu_) = 0;
+  /// Payload size of the last checkpoint, the next one's reserve hint.
+  mutable size_t last_checkpoint_bytes_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace restune

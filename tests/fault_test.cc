@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/byte_codec.h"
+#include "common/fnv.h"
 #include "common/logging.h"
 #include "gp/gp_model.h"
 #include "gp/multi_output_gp.h"
@@ -877,9 +878,21 @@ TEST_F(ServerFaultTest, NeverTrippingLadderServesTheLadderOffSession) {
   EXPECT_EQ(a.saved, b.saved);
   EXPECT_EQ(a.resaved, a.saved);
   EXPECT_EQ(b.resaved, b.saved);
-  // Lets two builds' XML reports (--gtest_output=xml) be compared.
+  // The saved file's size, CRC-32 and an FNV-1a 64 of its bytes, recorded
+  // from a GCC build before the CRC kernel and the vector encoder were
+  // rewritten. The FNV hash checks the encoder independently of the CRC
+  // kernel; other compilers may round the session's θ differently.
+  Fnv1a hash;
+  hash.AddBytes(a.saved.data(), a.saved.size());
   RecordProperty("checkpoint_bytes", static_cast<int>(a.saved.size()));
   RecordProperty("checkpoint_crc32", std::to_string(Crc32(a.saved)));
+  RecordProperty("checkpoint_fnv1a", hash.Hex());
+#if defined(__GNUC__) && !defined(__clang__)
+  EXPECT_EQ(a.saved.size(), 1179u);
+  EXPECT_EQ(Crc32(a.saved), 2916498067u);
+  EXPECT_EQ(hash.hash(), 0xb298cfb2db7abbeeull)
+      << "checkpoint hash 0x" << hash.Hex();
+#endif
 }
 
 /// The payload of a server checkpoint holding one active session and no

@@ -2,8 +2,10 @@
 
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/byte_codec.h"
 #include "common/rng.h"
 #include "net/frame.h"
 #include "service/wire.h"
@@ -33,6 +35,13 @@ bool BitEq(const Observation& a, const Observation& b) {
          BitEq(a.internals, b.internals);
 }
 
+Vector RandomDoubles(size_t n) {
+  Rng rng(33);
+  Vector values(n);
+  for (double& v : values) v = rng.Gaussian(0.0, 1e3);
+  return values;
+}
+
 Observation MakeObservation() {
   Observation obs;
   obs.theta = {0.25, 1.0 / 3.0, -0.0};
@@ -47,6 +56,113 @@ TEST(FrameTest, Crc32MatchesKnownVector) {
   // The canonical IEEE CRC-32 check value.
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32(""), 0u);
+}
+
+/// The textbook CRC-32, one byte and then one bit at a time, with no
+/// table: the reference the sliced kernel must match.
+uint32_t ReferenceCrc32(std::string_view data) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (char c : data) {
+    crc ^= static_cast<uint8_t>(c);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::string RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::string bytes(n, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.NextUint64() & 0xff);
+  return bytes;
+}
+
+TEST(ByteCodecTest, Crc32MatchesTheBytewiseReference) {
+  // Every length through many 16-byte steps and every tail length, from
+  // start offsets 0-7, so each tail and misalignment of the steps runs.
+  const std::string bytes = RandomBytes(1100 + 8, 31);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 1100; ++length) {
+      const std::string_view view =
+          std::string_view(bytes).substr(offset, length);
+      ASSERT_EQ(Crc32(view), ReferenceCrc32(view))
+          << "offset " << offset << ", length " << length;
+    }
+  }
+  const std::string large = RandomBytes(1 << 20, 32);
+  EXPECT_EQ(Crc32(large), ReferenceCrc32(large));
+}
+
+/// Doubles whose bits a codec could lose: NaN payloads of both signs and
+/// kinds, signed zeros, denormals, infinities and the extremes.
+Vector AwkwardDoubles() {
+  Vector values;
+  const auto add = [&values](uint64_t bits) {
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    values.push_back(v);
+  };
+  add(0x7FF8000000000000ull);  // quiet NaN
+  add(0x7FF8DEADBEEF0001ull);  // quiet NaN with a payload
+  add(0xFFF8000000000123ull);  // negative quiet NaN with a payload
+  add(0x7FF0000000000001ull);  // signaling NaN
+  add(0x7FF4000000000000ull);  // signaling NaN, high payload bit
+  add(0x8000000000000000ull);  // -0.0
+  add(0x0000000000000000ull);  // +0.0
+  add(0x0000000000000001ull);  // smallest denormal
+  add(0x800FFFFFFFFFFFFFull);  // largest negative denormal
+  add(0x0008000000000000ull);  // a mid-range denormal
+  add(0x7FF0000000000000ull);  // +inf
+  add(0xFFF0000000000000ull);  // -inf
+  add(0x7FEFFFFFFFFFFFFFull);  // largest finite
+  add(0x0010000000000000ull);  // smallest normal
+  values.push_back(1.0 / 3.0);
+  values.push_back(-123.456789012345678);
+  return values;
+}
+
+TEST(ByteCodecTest, VectorsRoundTripBitExactly) {
+  const Vector vectors[] = {{}, {-0.0}, AwkwardDoubles(), RandomDoubles(257)};
+  ByteWriter writer;
+  for (const Vector& v : vectors) writer.PutVector(v);
+  writer.PutU8(0xA5);  // a trailer: each read must stop at its vector's end
+  ByteReader reader(writer.str());
+  for (const Vector& v : vectors) {
+    Vector decoded = {7.0, 8.0};  // stale contents must be replaced
+    ASSERT_TRUE(reader.GetVector(&decoded).ok());
+    EXPECT_TRUE(BitEq(decoded, v));
+  }
+  uint8_t trailer = 0;
+  ASSERT_TRUE(reader.GetU8(&trailer).ok());
+  EXPECT_EQ(trailer, 0xA5);
+  EXPECT_TRUE(reader.ExpectEnd().ok());
+}
+
+TEST(ByteCodecTest, PutVectorEmitsThePerElementBytes) {
+  const Vector vectors[] = {{}, {-0.0}, AwkwardDoubles(), RandomDoubles(33)};
+  for (const Vector& v : vectors) {
+    ByteWriter bulk;
+    bulk.PutU8(1);  // an odd offset before the vector
+    bulk.PutVector(v);
+    ByteWriter each;
+    each.PutU8(1);
+    each.PutU32(static_cast<uint32_t>(v.size()));
+    for (double x : v) each.PutF64(x);
+    EXPECT_EQ(bulk.str(), each.str()) << v.size() << " elements";
+  }
+}
+
+TEST(ByteCodecTest, TruncatedVectorFailsWithoutReading) {
+  ByteWriter writer;
+  writer.PutVector({1.0, 2.0, 3.0});
+  const std::string bytes = writer.str();
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    ByteReader reader(std::string_view(bytes).substr(0, cut));
+    Vector v;
+    EXPECT_EQ(reader.GetVector(&v).code(), StatusCode::kInvalidArgument)
+        << "cut at " << cut;
+  }
 }
 
 TEST(FrameTest, EncodeDecodeRoundTrip) {
