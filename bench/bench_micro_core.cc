@@ -2,8 +2,10 @@
 // Table 3: GP fitting / prediction, acquisition optimization, meta-learner
 // weight updates, and one full simulator evaluation. These quantify the
 // "Model Update" and "Knobs Recommendation" costs independent of workload
-// replay. The last two time the served server's durable write: the CRC-32
-// that seals every file, and one whole checkpoint of the paper repository.
+// replay. BM_EnsembleAcquisition times the recommendation step over the
+// meta-learner ensemble. The last two time the served server's durable
+// write: the CRC-32 that seals every file, and one whole checkpoint of the
+// paper repository.
 
 #include <benchmark/benchmark.h>
 
@@ -160,6 +162,65 @@ BENCHMARK(BM_AcquisitionThroughput)
     ->Args({800, 4})
     ->Args({3200, 1})
     ->Args({3200, 4})
+    ->Unit(benchmark::kMillisecond);
+
+// The paper-setting meta-learner: 34 base learners of 80 observations
+// each, plus a target GP holding 12 observations, at `dim` knobs. Built
+// once per dim and kept for the process (benchmark functions re-enter
+// per repetition).
+const MetaLearner& EnsembleFixture(size_t dim) {
+  static auto* cache =
+      // restune-lint: allow(naked-new) -- intentional leak, bench fixture
+      new std::map<size_t, std::unique_ptr<MetaLearner>>();
+  auto it = cache->find(dim);
+  if (it == cache->end()) {
+    std::vector<BaseLearner> bases;
+    for (size_t b = 0; b < 34; ++b) {
+      TuningTask task;
+      task.name = "task";
+      task.meta_feature = {1.0, 0.0};
+      task.observations = SyntheticObservations(80, dim, 100 + b);
+      bases.push_back(*BaseLearner::Train(task));
+    }
+    auto learner = std::make_unique<MetaLearner>(dim, std::move(bases),
+                                                 Vector{1.0, 0.0});
+    for (const Observation& o : SyntheticObservations(12, dim, 78)) {
+      (void)learner->AddObservation(o);
+    }
+    it = cache->emplace(dim, std::move(learner)).first;
+  }
+  return *it->second;
+}
+
+// One CEI MaximizeAcquisitionBatch over the ensemble (default sweep of 512
+// candidates and 4 refinements) per iteration: the recommendation step of
+// a meta-learned session, where the ensemble mean (paper Eq. 6) sums every
+// base learner's posterior mean over every candidate. Axes: knob count
+// (14 for the paper's CPU space, 3 for a fleet tenant) and pool size.
+void BM_EnsembleAcquisition(benchmark::State& state) {
+  const size_t dim = static_cast<size_t>(state.range(0));
+  const MetaLearner& learner = EnsembleFixture(dim);
+  AcquisitionContext ctx;
+  ctx.has_feasible = true;
+  ctx.best_feasible_res = 0.0;
+  ctx.lambda_tps = -0.5;
+  ctx.lambda_lat = 0.5;
+  ThreadPool pool(static_cast<size_t>(state.range(1)));
+  AcqOptimizerOptions acq;
+  acq.pool = &pool;
+  Rng rng(8);
+  const auto cei = [&](const std::vector<Matrix>& blocks) {
+    return ConstrainedExpectedImprovementBatch(learner, blocks, ctx, &pool);
+  };
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MaximizeAcquisitionBatch(cei, dim, &rng, acq));
+  }
+}
+BENCHMARK(BM_EnsembleAcquisition)
+    ->Args({14, 1})
+    ->Args({14, 4})
+    ->Args({3, 1})
+    ->Args({3, 4})
     ->Unit(benchmark::kMillisecond);
 
 // One observation into an ensemble of range(0) base learners whose target

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 
 namespace restune {
 
@@ -66,25 +65,22 @@ std::string FileHeader(FileKind kind, std::string_view payload) {
   return header.Take();
 }
 
-/// Validates the envelope of `bytes` and strips it, leaving the payload.
-Status Unseal(FileKind kind, std::string* bytes) {
-  if (bytes->size() < kFileHeaderBytes) {
-    return Status::OutOfRange("file: truncated envelope (" +
-                              std::to_string(bytes->size()) + " bytes)");
-  }
-  ByteReader header(std::string_view(*bytes).substr(0, kFileHeaderBytes));
+/// Validates a file's 20-byte `header` for a `kind` file whose payload,
+/// `present` bytes, follows it; returns the payload CRC the header stores.
+Status CheckHeader(FileKind kind, std::string_view header, size_t present,
+                   uint32_t* crc) {
+  ByteReader reader(header);
   std::string_view magic;
   uint8_t version = 0;
   uint8_t stored_kind = 0;
   std::string_view reserved;
   uint64_t length = 0;
-  uint32_t crc = 0;
-  RESTUNE_RETURN_IF_ERROR(header.GetBytes(4, &magic));
-  RESTUNE_RETURN_IF_ERROR(header.GetU8(&version));
-  RESTUNE_RETURN_IF_ERROR(header.GetU8(&stored_kind));
-  RESTUNE_RETURN_IF_ERROR(header.GetBytes(2, &reserved));
-  RESTUNE_RETURN_IF_ERROR(header.GetU64(&length));
-  RESTUNE_RETURN_IF_ERROR(header.GetU32(&crc));
+  RESTUNE_RETURN_IF_ERROR(reader.GetBytes(4, &magic));
+  RESTUNE_RETURN_IF_ERROR(reader.GetU8(&version));
+  RESTUNE_RETURN_IF_ERROR(reader.GetU8(&stored_kind));
+  RESTUNE_RETURN_IF_ERROR(reader.GetBytes(2, &reserved));
+  RESTUNE_RETURN_IF_ERROR(reader.GetU64(&length));
+  RESTUNE_RETURN_IF_ERROR(reader.GetU32(crc));
   if (magic != std::string_view(kFileMagic, 4)) {
     return Status::InvalidArgument("file: bad magic (not a restune binary "
                                    "file; text formats are not supported)");
@@ -101,14 +97,11 @@ Status Unseal(FileKind kind, std::string* bytes) {
   if (reserved != std::string_view("\0\0", 2)) {
     return Status::InvalidArgument("file: nonzero reserved bytes");
   }
-  const size_t present = bytes->size() - kFileHeaderBytes;
   if (length != present) {
     return Status::OutOfRange("file: header declares " +
                               std::to_string(length) + " payload bytes, " +
                               std::to_string(present) + " present");
   }
-  bytes->erase(0, kFileHeaderBytes);
-  if (Crc32(*bytes) != crc) return Status::IoError("file: CRC mismatch");
   return Status::OK();
 }
 
@@ -276,10 +269,34 @@ Status WriteSealed(FileKind kind, std::string_view payload,
 }
 
 Result<std::string> ReadSealed(FileKind kind, std::istream* in) {
-  std::string bytes{std::istreambuf_iterator<char>(*in),
-                    std::istreambuf_iterator<char>()};
-  RESTUNE_RETURN_IF_ERROR(Unseal(kind, &bytes));
-  return bytes;
+  // The header goes to its own buffer and the payload lands in the
+  // returned string in one sized read, so no byte is copied twice. Its
+  // size comes from the stream's end, known before the header is trusted.
+  char header[kFileHeaderBytes];
+  in->read(header, kFileHeaderBytes);
+  const size_t got = static_cast<size_t>(in->gcount());
+  if (got < kFileHeaderBytes) {
+    return Status::OutOfRange("file: truncated envelope (" +
+                              std::to_string(got) + " bytes)");
+  }
+  const std::istream::pos_type begin = in->tellg();
+  in->seekg(0, std::ios::end);
+  const std::istream::pos_type end = in->tellg();
+  in->seekg(begin);
+  if (!*in || begin == std::istream::pos_type(-1) || end < begin) {
+    return Status::IoError("file: stream is not seekable");
+  }
+  const size_t present = static_cast<size_t>(end - begin);
+  uint32_t crc = 0;
+  RESTUNE_RETURN_IF_ERROR(CheckHeader(
+      kind, std::string_view(header, kFileHeaderBytes), present, &crc));
+  std::string payload(present, '\0');
+  in->read(payload.data(), static_cast<std::streamsize>(present));
+  if (static_cast<size_t>(in->gcount()) != present) {
+    return Status::IoError("file: short read");
+  }
+  if (Crc32(payload) != crc) return Status::IoError("file: CRC mismatch");
+  return payload;
 }
 
 Status SaveSealedFile(const std::string& path, FileKind kind,

@@ -134,6 +134,8 @@ inline constexpr size_t kFileHeaderBytes = 20;
 Status WriteSealed(FileKind kind, std::string_view payload, std::ostream* out);
 
 /// Reads `in` to its end and returns the payload of a sealed `kind` file.
+/// The payload is read in one sized call, so `in` must be seekable (file
+/// and string streams are); one that cannot report its end → kIoError.
 Result<std::string> ReadSealed(FileKind kind, std::istream* in);
 
 /// Atomic file variant of WriteSealed: the bytes go to `<path>.tmp`, which

@@ -385,15 +385,18 @@ Vector GpModel::PredictMeanBatch(const Matrix& x, ThreadPool* pool) const {
   Vector mean(m, 0.0);
   if (m == 0) return mean;
   GpMetrics::Get()->predict_points->Add(static_cast<int64_t>(m));
-  ThreadPool* tp = ResolvePool(pool);
-  const size_t n = x_.rows();
-  const Matrix k_star = kernel_->CrossCovarianceMatrix(x_, x, tp);
-  tp->ParallelForRanges(m, [&](size_t c0, size_t c1) {
-    for (size_t i = 0; i < n; ++i) {
-      simd::Axpy(mean.data() + c0, alpha_[i], k_star.RowPtr(i) + c0, c1 - c0);
-    }
+  // Dimension-major queries (d x m): the fused kernel pass runs its SIMD
+  // lanes across queries and forms no n x m cross-covariance block.
+  const Matrix queries_t = x.Transpose();
+  const auto columns = [&](size_t c0, size_t c1) {
+    kernel_->WeightedCrossSum(x_, alpha_.data(), queries_t.RowPtr(0) + c0, m,
+                              c1 - c0, mean.data() + c0);
     for (size_t c = c0; c < c1; ++c) mean[c] = mean[c] * y_std_ + y_mean_;
-  });
+  };
+  // One reference captured, so the std::function holds it without a heap
+  // allocation.
+  ResolvePool(pool)->ParallelForRanges(
+      m, [&columns](size_t c0, size_t c1) { columns(c0, c1); });
   return mean;
 }
 

@@ -104,8 +104,10 @@ class GpModel {
   std::vector<GpPrediction> PredictBatch(const Matrix& x,
                                          ThreadPool* pool = nullptr) const;
 
-  /// Batch counterpart of `PredictMean`: means at every row of `x` via one
-  /// cross-covariance block and a matrix-vector product against alpha.
+  /// Batch counterpart of `PredictMean`: means at every row of `x` from
+  /// one fused kernel pass per query stripe (`Kernel::WeightedCrossSum`
+  /// against alpha), with no cross-covariance block. Bitwise identical for
+  /// any pool size.
   Vector PredictMeanBatch(const Matrix& x, ThreadPool* pool = nullptr) const;
 
   /// Log marginal likelihood of the current fit.

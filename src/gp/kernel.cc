@@ -131,6 +131,15 @@ void Matern52Kernel::EvalRow(const double* a, const double* x, size_t x_stride,
                     inv_lengthscales_.data(), dim(), amplitude_sq_, out);
 }
 
+void Matern52Kernel::WeightedCrossSum(const Matrix& x, const double* w,
+                                      const double* qt, size_t qt_stride,
+                                      size_t count, double* out) const {
+  simd::Matern52WeightedSum(x.RowPtr(0), x.cols(), x.rows(), w, qt, qt_stride,
+                            count, lengthscales_.data(),
+                            inv_lengthscales_.data(), dim(), amplitude_sq_,
+                            out);
+}
+
 Vector Matern52Kernel::GetLogParams() const {
   Vector out;
   out.reserve(1 + lengthscales_.size());
@@ -179,6 +188,16 @@ void SquaredExponentialKernel::EvalRow(const double* a, const double* x,
                                        double* out) const {
   simd::SqExpRow(a, x, x_stride, count, lengthscales_.data(),
                  inv_lengthscales_.data(), dim(), amplitude_sq_, out);
+}
+
+void SquaredExponentialKernel::WeightedCrossSum(const Matrix& x,
+                                                const double* w,
+                                                const double* qt,
+                                                size_t qt_stride, size_t count,
+                                                double* out) const {
+  simd::SqExpWeightedSum(x.RowPtr(0), x.cols(), x.rows(), w, qt, qt_stride,
+                         count, lengthscales_.data(),
+                         inv_lengthscales_.data(), dim(), amplitude_sq_, out);
 }
 
 Vector SquaredExponentialKernel::GetLogParams() const {

@@ -104,6 +104,37 @@ void SqExpRow(const double* q, const double* x, size_t x_stride, size_t count,
               const double* ls, const double* inv_ls, size_t d, double amp2,
               double* out);
 
+/// Fused Matérn-5/2 weighted cross sum, the posterior-mean pass of batch
+/// GP prediction:
+///   out[c] = sum_i w[i] * k(x_i, q_c)   for c in [0, count),
+/// with i ascending over the n training rows x_i = x + i*x_stride. Queries
+/// arrive dimension-major: q_c[t] = qt[t*qt_stride + c]. No n×count
+/// cross-covariance block is formed.
+///
+/// Bits: out[c] equals, in each tier, a Matern52Row fill of k(x_i, ·)
+/// followed by Axpy(out, w[i], row) for each i from a zeroed `out`. The
+/// scalar tier runs that composition per pair (division by `ls`,
+/// std::exp, plain `+=`). The AVX2 tier puts queries in the lanes, and
+/// each lane repeats the per-pair row fill's operations in the same order:
+/// the (x_i[t] - q_c[t]) * inv_ls[t] differences; four partial sums, one
+/// per t mod 4, grown by FMA; the (s0 + s2) + (s1 + s3) combine the row
+/// fill's horizontal sum makes; the FMA tail over the last d mod 4
+/// dimensions; the same vector exp; then fma(w[i], k, acc). Lanes never
+/// mix, and the last partial group of queries loads its absent lanes as
+/// zeros through a mask, so a column's result does not depend on `count`
+/// or on where a caller splits the queries.
+void Matern52WeightedSum(const double* x, size_t x_stride, size_t n,
+                         const double* w, const double* qt, size_t qt_stride,
+                         size_t count, const double* ls, const double* inv_ls,
+                         size_t d, double amp2, double* out);
+
+/// Squared-exponential counterpart of Matern52WeightedSum; its bits equal
+/// SqExpRow followed by Axpy the same way.
+void SqExpWeightedSum(const double* x, size_t x_stride, size_t n,
+                      const double* w, const double* qt, size_t qt_stride,
+                      size_t count, const double* ls, const double* inv_ls,
+                      size_t d, double amp2, double* out);
+
 }  // namespace simd
 }  // namespace restune
 

@@ -31,6 +31,16 @@ struct Ops {
   void (*sqexp_row)(const double* q, const double* x, size_t x_stride,
                     size_t count, const double* ls, const double* inv_ls,
                     size_t d, double amp2, double* out);
+  void (*matern52_weighted_sum)(const double* x, size_t x_stride, size_t n,
+                                const double* w, const double* qt,
+                                size_t qt_stride, size_t count,
+                                const double* ls, const double* inv_ls,
+                                size_t d, double amp2, double* out);
+  void (*sqexp_weighted_sum)(const double* x, size_t x_stride, size_t n,
+                             const double* w, const double* qt,
+                             size_t qt_stride, size_t count, const double* ls,
+                             const double* inv_ls, size_t d, double amp2,
+                             double* out);
 };
 
 #if defined(RESTUNE_SIMD_AVX2_COMPILED)

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 
 #include "bo/lhs.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "gp/gp_model.h"
 #include "gp/kernel.h"
 #include "gp/multi_output_gp.h"
+#include "linalg/simd/simd.h"
 
 namespace restune {
 namespace {
@@ -228,6 +232,61 @@ TEST_F(GpModelTest, PredictMeanBatchMatchesScalarMeans) {
   for (size_t i = 0; i < m; ++i) {
     EXPECT_NEAR(means[i], gp.PredictMean(queries.Row(i)), 1e-10);
   }
+}
+
+TEST(GpModelBatchMeanTest, KeepsCrossCovariancePlusAxpyBitsAtEveryPoolSize) {
+  // PredictMeanBatch's fused pass against the mean path it replaced: the
+  // K* block from CrossCovarianceMatrix, one Axpy per training row, then
+  // the target affine. Unnormalized targets make alpha recomputable from
+  // the public factor. Called at top level, so the 4-thread pool splits
+  // the 200 queries into stripes that do not start on a lane boundary.
+  const size_t n = 80, d = 14, m = 200;
+  Rng rng(41);
+  Matrix x(n, d), queries(m, d);
+  Vector y(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t t = 0; t < d; ++t) x(i, t) = rng.Uniform();
+    y[i] = rng.Gaussian();
+  }
+  for (size_t c = 0; c < m; ++c) {
+    for (size_t t = 0; t < d; ++t) queries(c, t) = rng.Uniform();
+  }
+  GpOptions options;
+  options.normalize_y = false;
+  options.hyperopt_max_iters = 10;
+  std::vector<simd::Tier> tiers = {simd::Tier::kScalar};
+  if (simd::Avx2Available()) tiers.push_back(simd::Tier::kAvx2);
+  ThreadPool serial(1);
+  ThreadPool wide(4);
+  for (simd::Tier tier : tiers) {
+    ASSERT_EQ(simd::ForceTierForTest(tier), tier);
+    for (bool matern : {true, false}) {
+      SCOPED_TRACE(::testing::Message()
+                   << simd::TierName(tier) << (matern ? " matern52" : " se"));
+      std::unique_ptr<Kernel> kernel;
+      if (matern) {
+        kernel = std::make_unique<Matern52Kernel>(d);
+      } else {
+        kernel = std::make_unique<SquaredExponentialKernel>(d);
+      }
+      GpModel gp(std::move(kernel), options);
+      ASSERT_TRUE(gp.Fit(x, y).ok());
+      const Vector alpha = gp.factor().Solve(y);
+      const Matrix k_star = gp.kernel().CrossCovarianceMatrix(x, queries);
+      Vector want(m, 0.0);
+      for (size_t i = 0; i < n; ++i) {
+        simd::Axpy(want.data(), alpha[i], k_star.RowPtr(i), m);
+      }
+      for (double& v : want) v = v * 1.0 + 0.0;
+      for (ThreadPool* pool : {&serial, &wide}) {
+        const Vector got = gp.PredictMeanBatch(queries, pool);
+        ASSERT_EQ(got.size(), m);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), m * sizeof(double)), 0)
+            << "at " << pool->num_threads() << " threads";
+      }
+    }
+  }
+  simd::ResetTierForTest();
 }
 
 TEST_F(GpModelTest, IncrementalUpdateMatchesFullRefit) {

@@ -306,6 +306,38 @@ TEST_F(PersistenceTest, GpModelRejectsEveryPrefixAndBitFlip) {
   SweepPrefixesAndBitFlips(FileCases()[3]);
 }
 
+TEST_F(PersistenceTest, MebibytePayloadRoundTripsThroughFileAndStream) {
+  // Larger than any test checkpoint, with every byte value present.
+  Rng rng(29);
+  std::string payload((1 << 20) + 4099, '\0');
+  for (char& c : payload) c = static_cast<char>(rng.NextUint64() & 0xff);
+  const std::string path = TempPath("mebibyte");
+  ASSERT_TRUE(SaveSealedFile(path, FileKind::kRepository, payload).ok());
+  Result<std::string> loaded = LoadSealedFile(path, FileKind::kRepository);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded.value() == payload);
+  EXPECT_EQ(LoadSealedFile(path, FileKind::kGpModel).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // The same bytes through a stream, read from where the stream stands.
+  const std::string sealed = ReadFile(path);
+  std::remove(path.c_str());
+  ASSERT_EQ(sealed.size(), kFileHeaderBytes + payload.size());
+  std::istringstream in("prefix" + sealed);
+  in.ignore(6);
+  Result<std::string> read = ReadSealed(FileKind::kRepository, &in);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_TRUE(read.value() == payload);
+
+  // One byte short or one byte over disagrees with the stored length.
+  std::istringstream short_in(sealed.substr(0, sealed.size() - 1));
+  EXPECT_EQ(ReadSealed(FileKind::kRepository, &short_in).status().code(),
+            StatusCode::kOutOfRange);
+  std::istringstream long_in(sealed + "x");
+  EXPECT_EQ(ReadSealed(FileKind::kRepository, &long_in).status().code(),
+            StatusCode::kOutOfRange);
+}
+
 TEST_F(PersistenceTest, RetiredTextFormatsAreRefusedNotParsed) {
   const char* const texts[] = {
       "restune-server-checkpoint 2\nnext_id 1\ntasks 0\nfinished 0\n"

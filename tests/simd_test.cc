@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -166,6 +168,106 @@ TEST(SimdTest, ScalarTierReproducesEvalBitForBit) {
     }
   }
   simd::ResetTierForTest();
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+/// The mean pass the fused primitive replaces: one EvalRow fill of
+/// k(x_i, ·) per training row, accumulated into a zeroed `out` by Axpy.
+Vector RowFillPlusAxpy(const Kernel& kernel, const Matrix& x, const Vector& w,
+                       const Matrix& queries) {
+  const size_t m = queries.rows();
+  Vector out(m, 0.0);
+  Vector row(m);
+  for (size_t i = 0; i < x.rows(); ++i) {
+    kernel.EvalRow(x.RowPtr(i), queries.RowPtr(0), queries.cols(), m,
+                   row.data());
+    simd::Axpy(out.data(), w[i], row.data(), m);
+  }
+  return out;
+}
+
+/// A kernel of dimension d with per-dimension lengthscales drawn from
+/// [ls_lo, ls_hi] (log-uniform).
+std::unique_ptr<Kernel> ArdKernel(bool matern, size_t d, double ls_lo,
+                                  double ls_hi, Rng* rng) {
+  std::unique_ptr<Kernel> kernel;
+  if (matern) {
+    kernel = std::make_unique<Matern52Kernel>(d);
+  } else {
+    kernel = std::make_unique<SquaredExponentialKernel>(d);
+  }
+  Vector log_params(d + 1);
+  log_params[0] = rng->Uniform(-1.0, 1.0);
+  for (size_t t = 0; t < d; ++t) {
+    log_params[t + 1] = rng->Uniform(std::log(ls_lo), std::log(ls_hi));
+  }
+  kernel->SetLogParams(log_params);
+  return kernel;
+}
+
+TEST(SimdTest, FusedWeightedSumKeepsRowFillPlusAxpyBits) {
+  // Every d mod 4 tail (and d < 4), every query-group tail, and
+  // lengthscales short enough that most kernel values flush to zero
+  // (with a few queries placed on training rows, so r = 0 still occurs).
+  const size_t kCounts[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 27, 28, 63, 64, 65};
+  const size_t kRows[] = {1, 2, 80};
+  std::vector<simd::Tier> tiers = {simd::Tier::kScalar};
+  if (simd::Avx2Available()) tiers.push_back(simd::Tier::kAvx2);
+  Rng rng(109);
+  size_t cases = 0;
+  for (simd::Tier tier : tiers) {
+    ASSERT_EQ(simd::ForceTierForTest(tier), tier);
+    for (size_t d = 1; d <= 17; ++d) {
+      for (bool matern : {true, false}) {
+        for (bool flush : {false, true}) {
+          const std::unique_ptr<Kernel> kernel =
+              flush ? ArdKernel(matern, d, 1e-4, 2e-3, &rng)
+                    : ArdKernel(matern, d, 0.05, 2.0, &rng);
+          for (size_t n : kRows) {
+            const Matrix x = RandomMatrix(n, d, &rng);
+            const Vector w = RandomVector(n, &rng);
+            for (size_t m : kCounts) {
+              SCOPED_TRACE(::testing::Message()
+                           << simd::TierName(tier) << " " << kernel->name()
+                           << " d=" << d << " n=" << n << " m=" << m
+                           << (flush ? " flushing" : ""));
+              Matrix queries = RandomMatrix(m, d, &rng);
+              for (size_t c = 0; c < m; c += 5) {
+                for (size_t t = 0; t < d; ++t) queries(c, t) = x(c % n, t);
+              }
+              const Vector want = RowFillPlusAxpy(*kernel, x, w, queries);
+              const Matrix qt = queries.Transpose();
+              // The whole block, and the same block in two stripes split
+              // at a column that is not a multiple of the lane count.
+              Vector whole(m), split(m);
+              kernel->WeightedCrossSum(x, w.data(), qt.RowPtr(0), m, m,
+                                       whole.data());
+              const size_t cut = m / 3;
+              kernel->WeightedCrossSum(x, w.data(), qt.RowPtr(0), m, cut,
+                                       split.data());
+              kernel->WeightedCrossSum(x, w.data(), qt.RowPtr(0) + cut, m,
+                                       m - cut, split.data() + cut);
+              for (size_t c = 0; c < m; ++c) {
+                ASSERT_EQ(Bits(whole[c]), Bits(want[c]))
+                    << "column " << c << ": " << whole[c] << " vs "
+                    << want[c];
+                ASSERT_EQ(Bits(split[c]), Bits(want[c]))
+                    << "split column " << c;
+              }
+              ++cases;
+            }
+          }
+        }
+      }
+    }
+  }
+  simd::ResetTierForTest();
+  EXPECT_EQ(cases, tiers.size() * 17 * 2 * 2 * 3 * 14);
 }
 
 TEST(SimdTest, GramMatrixMatchesAcrossTiers) {
