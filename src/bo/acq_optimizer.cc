@@ -76,7 +76,8 @@ void CheckScores(const std::vector<Matrix>& blocks,
 
 /// Writes the 2*dim coordinate stencil around `x` at `step`, each trial
 /// point projected when a projection is set (a trust region pulls trial
-/// points back inside its box, so the search never walks out of it).
+/// points back inside its box, so the search never walks out of it). The
+/// row order is recognised by GpModel (see MaximizeAcquisitionBatch).
 void BuildStencil(const Vector& x, double step,
                   const AcqOptimizerOptions& options, Matrix* stencil) {
   const size_t dim = x.size();

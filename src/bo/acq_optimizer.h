@@ -73,6 +73,17 @@ using BatchAcquisitionFn = std::function<std::vector<std::vector<double>>(
 /// cut into `kAcquisitionBlockRows`-row blocks. The `num_refine` local
 /// searches then advance in lockstep: each pass scores every search's
 /// coordinate stencil, one block per search, in one more call.
+///
+/// A stencil block has 2*dim rows; rows 2k and 2k+1 step column k up and
+/// down from the search's point and equal it bit for bit in every other
+/// column (also after clamping, and after a `project` that maps each
+/// coordinate on its own, like the trust region's box). `GpModel`
+/// recognises this row order and fills the block's cross-covariance from
+/// shared distance work, with the same bits; a block in another order
+/// takes the general path and loses only the speed.
+/// `restune_gp_stencil_blocks_total` counts the recognised blocks, and
+/// bo_test pins that every refinement block of a GP-scored maximization is
+/// one.
 Vector MaximizeAcquisitionBatch(const BatchAcquisitionFn& acquisition,
                                 size_t dim, Rng* rng,
                                 const AcqOptimizerOptions& options = {});

@@ -18,6 +18,14 @@ void Kernel::EvalRow(const double* a, const double* x, size_t x_stride,
   for (size_t j = 0; j < count; ++j) out[j] = Eval(a, x + j * x_stride);
 }
 
+void Kernel::EvalStencil(const double* x, size_t x_stride, size_t count,
+                         const double* q, size_t q_stride, double* out,
+                         size_t out_stride) const {
+  for (size_t i = 0; i < count; ++i) {
+    EvalRow(x + i * x_stride, q, q_stride, 2 * dim(), out + i * out_stride);
+  }
+}
+
 Matrix Kernel::GramMatrix(const Matrix& x, ThreadPool* pool) const {
   RESTUNE_DCHECK(x.cols() == dim())
       << "input dim " << x.cols() << " != kernel dim " << dim();
@@ -140,6 +148,15 @@ void Matern52Kernel::WeightedCrossSum(const Matrix& x, const double* w,
                             out);
 }
 
+void Matern52Kernel::EvalStencil(const double* x, size_t x_stride,
+                                 size_t count, const double* q,
+                                 size_t q_stride, double* out,
+                                 size_t out_stride) const {
+  simd::Matern52StencilFill(x, x_stride, count, q, q_stride,
+                            lengthscales_.data(), inv_lengthscales_.data(),
+                            dim(), amplitude_sq_, out, out_stride);
+}
+
 Vector Matern52Kernel::GetLogParams() const {
   Vector out;
   out.reserve(1 + lengthscales_.size());
@@ -198,6 +215,15 @@ void SquaredExponentialKernel::WeightedCrossSum(const Matrix& x,
   simd::SqExpWeightedSum(x.RowPtr(0), x.cols(), x.rows(), w, qt, qt_stride,
                          count, lengthscales_.data(),
                          inv_lengthscales_.data(), dim(), amplitude_sq_, out);
+}
+
+void SquaredExponentialKernel::EvalStencil(const double* x, size_t x_stride,
+                                           size_t count, const double* q,
+                                           size_t q_stride, double* out,
+                                           size_t out_stride) const {
+  simd::SqExpStencilFill(x, x_stride, count, q, q_stride, lengthscales_.data(),
+                         inv_lengthscales_.data(), dim(), amplitude_sq_, out,
+                         out_stride);
 }
 
 Vector SquaredExponentialKernel::GetLogParams() const {

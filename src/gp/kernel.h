@@ -45,6 +45,18 @@ class Kernel {
                                 const double* qt, size_t qt_stride,
                                 size_t count, double* out) const = 0;
 
+  /// Coordinate-stencil fill: out[i*out_stride + r] = k(x_i, q_r) for the
+  /// `count` rows x_i = x + i*x_stride and the 2·dim() rows
+  /// q_r = q + r*q_stride of a coordinate stencil (dim() >= 2): rows 2k and
+  /// 2k+1 equal one centre bit for bit in every column except column k.
+  /// Bit for bit what EvalRow(x_i, q, q_stride, 2·dim(), ·) writes; the
+  /// shipped kernels share the centre's distance work among the rows
+  /// (simd::*StencilFill). The caller checks the layout. The default loops
+  /// EvalRow.
+  virtual void EvalStencil(const double* x, size_t x_stride, size_t count,
+                           const double* q, size_t q_stride, double* out,
+                           size_t out_stride) const;
+
   /// Input dimensionality this kernel was built for.
   virtual size_t dim() const = 0;
 
@@ -91,6 +103,9 @@ class Matern52Kernel : public Kernel {
   void WeightedCrossSum(const Matrix& x, const double* w, const double* qt,
                         size_t qt_stride, size_t count,
                         double* out) const override;
+  void EvalStencil(const double* x, size_t x_stride, size_t count,
+                   const double* q, size_t q_stride, double* out,
+                   size_t out_stride) const override;
   size_t dim() const override { return lengthscales_.size(); }
   const char* name() const override { return "matern52"; }
   Vector GetLogParams() const override;
@@ -118,6 +133,9 @@ class SquaredExponentialKernel : public Kernel {
   void WeightedCrossSum(const Matrix& x, const double* w, const double* qt,
                         size_t qt_stride, size_t count,
                         double* out) const override;
+  void EvalStencil(const double* x, size_t x_stride, size_t count,
+                   const double* q, size_t q_stride, double* out,
+                   size_t out_stride) const override;
   size_t dim() const override { return lengthscales_.size(); }
   const char* name() const override { return "se"; }
   Vector GetLogParams() const override;

@@ -119,6 +119,18 @@ void WeightedSumScalar(const double* x, size_t x_stride, size_t n,
   }
 }
 
+// The row fill of each training row against the stencil's rows.
+template <double (*kFromR2)(double, double)>
+void StencilFillScalar(const double* x, size_t x_stride, size_t n,
+                       const double* q, size_t q_stride, const double* ls,
+                       const double* inv_ls, size_t d, double amp2,
+                       double* out, size_t out_stride) {
+  for (size_t i = 0; i < n; ++i) {
+    KernelRowScalar<kFromR2>(x + i * x_stride, q, q_stride, 2 * d, ls, inv_ls,
+                             d, amp2, out + i * out_stride);
+  }
+}
+
 constexpr internal::Ops kScalarOps = {
     DotScalar,          NegDotAccumScalar, AxpyScalar,
     FnmaScalar,         SquareAccumScalar, ScaleScalar,
@@ -126,6 +138,8 @@ constexpr internal::Ops kScalarOps = {
     KernelRowScalar<SqExpFromR2>,
     WeightedSumScalar<Matern52FromR2>,
     WeightedSumScalar<SqExpFromR2>,
+    StencilFillScalar<Matern52FromR2>,
+    StencilFillScalar<SqExpFromR2>,
 };
 
 // ---------------------------------------------------------------------------
@@ -278,6 +292,22 @@ void SqExpWeightedSum(const double* x, size_t x_stride, size_t n,
                       size_t d, double amp2, double* out) {
   Active().sqexp_weighted_sum(x, x_stride, n, w, qt, qt_stride, count, ls,
                               inv_ls, d, amp2, out);
+}
+
+void Matern52StencilFill(const double* x, size_t x_stride, size_t n,
+                         const double* q, size_t q_stride, const double* ls,
+                         const double* inv_ls, size_t d, double amp2,
+                         double* out, size_t out_stride) {
+  Active().matern52_stencil_fill(x, x_stride, n, q, q_stride, ls, inv_ls, d,
+                                 amp2, out, out_stride);
+}
+
+void SqExpStencilFill(const double* x, size_t x_stride, size_t n,
+                      const double* q, size_t q_stride, const double* ls,
+                      const double* inv_ls, size_t d, double amp2, double* out,
+                      size_t out_stride) {
+  Active().sqexp_stencil_fill(x, x_stride, n, q, q_stride, ls, inv_ls, d, amp2,
+                              out, out_stride);
 }
 
 }  // namespace simd

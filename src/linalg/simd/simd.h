@@ -135,6 +135,39 @@ void SqExpWeightedSum(const double* x, size_t x_stride, size_t n,
                       size_t count, const double* ls, const double* inv_ls,
                       size_t d, double amp2, double* out);
 
+/// Matérn-5/2 cross-covariance of a coordinate stencil, the query block of
+/// one acquisition refinement pass:
+///   out[i*out_stride + r] = k(x_i, q_r)   for i in [0, n), r in [0, 2d),
+/// with training rows x_i = x + i*x_stride and query rows
+/// q_r = q + r*q_stride. The 2d query rows must form a coordinate stencil
+/// (d >= 2): rows 2k and 2k+1 equal one common centre bit for bit in every
+/// column except column k. That is the row order the optimizer's
+/// refinement builds, with or without clamping or a trust-region
+/// projection; the caller checks it, the fill does not.
+///
+/// Bits: out[i*out_stride + r] equals, in each tier, what Matern52Row
+/// writes for the pair (q = x_i, row q_r). The scalar tier runs that row
+/// fill on the given rows. The AVX2 tier puts four training rows in the
+/// lanes and shares the centre's distance work among the 2d rows: it
+/// computes the centre's scaled differences (x_i[t] - c[t]) * inv_ls[t]
+/// and the prefixes of the row fill's four FMA chains (one per t mod 4)
+/// once per four training rows; for row r it redoes only the chain that
+/// holds column k from k onward, then the (s0 + s2) + (s1 + s3) combine,
+/// the FMA tail over the last d mod 4 dimensions and the same transform.
+/// A row's values therefore do not depend on `n` or on where a caller
+/// splits the training rows.
+void Matern52StencilFill(const double* x, size_t x_stride, size_t n,
+                         const double* q, size_t q_stride, const double* ls,
+                         const double* inv_ls, size_t d, double amp2,
+                         double* out, size_t out_stride);
+
+/// Squared-exponential counterpart of Matern52StencilFill; its bits equal
+/// SqExpRow's per pair the same way.
+void SqExpStencilFill(const double* x, size_t x_stride, size_t n,
+                      const double* q, size_t q_stride, const double* ls,
+                      const double* inv_ls, size_t d, double amp2, double* out,
+                      size_t out_stride);
+
 }  // namespace simd
 }  // namespace restune
 

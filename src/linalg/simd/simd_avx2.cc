@@ -339,6 +339,148 @@ inline void WeightedSumAvx2(const double* x, size_t x_stride, size_t n,
   }
 }
 
+// Widest stencil whose shared prefixes fit the fill's stack scratch;
+// wider stencils take the row fill, which gives the same bits.
+constexpr size_t kMaxStencilDim = 64;
+
+// Coordinate-stencil fill (simd.h): four training rows in the lanes. Per
+// group, the centre's scaled differences diff[t], the prefixes chain[t] of
+// the four FMA chains (chain t mod 4 after dimension t) and the prefixes
+// tail[j] of the FMA tail (r2 after the combine and the tail's first j
+// dimensions) are computed once, each a 4-lane vector stored as doubles.
+// Stencil rows 2k and 2k+1, which differ from the centre in column k only,
+// then redo side by side just the chain that holds k from k onward, the
+// combine and the tail; or, when k is in the tail, the tail from k onward.
+// Absent lanes of the last group repeat its last training row and are not
+// stored.
+template <typename TransformFn>
+inline void StencilFillAvx2(const double* x, size_t x_stride, size_t n,
+                            const double* q, size_t q_stride,
+                            const double* inv_ls, size_t d, double* out,
+                            size_t out_stride, TransformFn transform) {
+  const size_t d4 = d & ~size_t{3};
+  double centre[kMaxStencilDim];
+  double xs[4 * kMaxStencilDim], diff[4 * kMaxStencilDim];
+  double chain[4 * kMaxStencilDim], tail[4 * 4];
+  // Column 0's centre value is in row 2, every other column's in row 0.
+  for (size_t t = 0; t < d; ++t) {
+    centre[t] = q[(t == 0 ? 2 : 0) * q_stride + t];
+  }
+  for (size_t g = 0; g < n; g += 4) {
+    const size_t lanes = n - g < 4 ? n - g : 4;
+    const double* p[4];
+    for (size_t l = 0; l < 4; ++l) {
+      p[l] = x + (g + (l < lanes ? l : lanes - 1)) * x_stride;
+    }
+    __m256d s[4];
+    for (int j = 0; j < 4; ++j) s[j] = _mm256_setzero_pd();
+    for (size_t t = 0; t < d; ++t) {
+      const __m256d xt = _mm256_setr_pd(p[0][t], p[1][t], p[2][t], p[3][t]);
+      const __m256d dt =
+          _mm256_mul_pd(_mm256_sub_pd(xt, _mm256_set1_pd(centre[t])),
+                        _mm256_set1_pd(inv_ls[t]));
+      _mm256_storeu_pd(xs + 4 * t, xt);
+      _mm256_storeu_pd(diff + 4 * t, dt);
+      if (t < d4) {
+        s[t & 3] = _mm256_fmadd_pd(dt, dt, s[t & 3]);
+        _mm256_storeu_pd(chain + 4 * t, s[t & 3]);
+      }
+    }
+    const __m256d sum02 = _mm256_add_pd(s[0], s[2]);
+    const __m256d sum13 = _mm256_add_pd(s[1], s[3]);
+    __m256d r2 = _mm256_add_pd(sum02, sum13);
+    _mm256_storeu_pd(tail, r2);
+    for (size_t t = d4; t < d; ++t) {
+      const __m256d dt = _mm256_loadu_pd(diff + 4 * t);
+      r2 = _mm256_fmadd_pd(dt, dt, r2);
+      _mm256_storeu_pd(tail + 4 * (t - d4 + 1), r2);
+    }
+    // The kernel values of the two stencil rows whose column k holds `vp`
+    // and `vm`.
+    const auto pair_values = [&](size_t k, double vp, double vm, __m256d* kp,
+                                 __m256d* km) {
+      const __m256d xk = _mm256_loadu_pd(xs + 4 * k);
+      const __m256d il = _mm256_set1_pd(inv_ls[k]);
+      const __m256d dp =
+          _mm256_mul_pd(_mm256_sub_pd(xk, _mm256_set1_pd(vp)), il);
+      const __m256d dm =
+          _mm256_mul_pd(_mm256_sub_pd(xk, _mm256_set1_pd(vm)), il);
+      __m256d ap, am;
+      size_t t;
+      if (k < d4) {
+        const __m256d prefix = k >= 4 ? _mm256_loadu_pd(chain + 4 * (k - 4))
+                                      : _mm256_setzero_pd();
+        __m256d sp = _mm256_fmadd_pd(dp, dp, prefix);
+        __m256d sm = _mm256_fmadd_pd(dm, dm, prefix);
+        for (t = k + 4; t < d4; t += 4) {
+          const __m256d dt = _mm256_loadu_pd(diff + 4 * t);
+          sp = _mm256_fmadd_pd(dt, dt, sp);
+          sm = _mm256_fmadd_pd(dt, dt, sm);
+        }
+        // (s0 + s2) + (s1 + s3) with chain k mod 4 replaced; the adds
+        // commute bit for bit.
+        const size_t j = k & 3;
+        const __m256d other = s[j ^ 2];
+        if ((j & 1) == 0) {
+          ap = _mm256_add_pd(_mm256_add_pd(sp, other), sum13);
+          am = _mm256_add_pd(_mm256_add_pd(sm, other), sum13);
+        } else {
+          ap = _mm256_add_pd(sum02, _mm256_add_pd(sp, other));
+          am = _mm256_add_pd(sum02, _mm256_add_pd(sm, other));
+        }
+        t = d4;
+      } else {
+        const __m256d prefix = _mm256_loadu_pd(tail + 4 * (k - d4));
+        ap = _mm256_fmadd_pd(dp, dp, prefix);
+        am = _mm256_fmadd_pd(dm, dm, prefix);
+        t = k + 1;
+      }
+      for (; t < d; ++t) {
+        const __m256d dt = _mm256_loadu_pd(diff + 4 * t);
+        ap = _mm256_fmadd_pd(dt, dt, ap);
+        am = _mm256_fmadd_pd(dt, dt, am);
+      }
+      *kp = transform(ap);
+      *km = transform(am);
+    };
+    // Two columns (four stencil rows) at a time, transposed so each
+    // training row receives four consecutive values.
+    size_t k = 0;
+    for (; k + 2 <= d; k += 2) {
+      const double* r0 = q + 2 * k * q_stride;
+      __m256d a, b, c, e;
+      pair_values(k, r0[k], r0[q_stride + k], &a, &b);
+      pair_values(k + 1, r0[2 * q_stride + k + 1], r0[3 * q_stride + k + 1],
+                  &c, &e);
+      const __m256d ab_lo = _mm256_unpacklo_pd(a, b);
+      const __m256d ab_hi = _mm256_unpackhi_pd(a, b);
+      const __m256d ce_lo = _mm256_unpacklo_pd(c, e);
+      const __m256d ce_hi = _mm256_unpackhi_pd(c, e);
+      const __m256d lane_rows[4] = {
+          _mm256_permute2f128_pd(ab_lo, ce_lo, 0x20),
+          _mm256_permute2f128_pd(ab_hi, ce_hi, 0x20),
+          _mm256_permute2f128_pd(ab_lo, ce_lo, 0x31),
+          _mm256_permute2f128_pd(ab_hi, ce_hi, 0x31),
+      };
+      for (size_t l = 0; l < lanes; ++l) {
+        _mm256_storeu_pd(out + (g + l) * out_stride + 2 * k, lane_rows[l]);
+      }
+    }
+    if (k < d) {
+      const double* r0 = q + 2 * k * q_stride;
+      __m256d a, b;
+      pair_values(k, r0[k], r0[q_stride + k], &a, &b);
+      double plus[4], minus[4];
+      _mm256_storeu_pd(plus, a);
+      _mm256_storeu_pd(minus, b);
+      for (size_t l = 0; l < lanes; ++l) {
+        out[(g + l) * out_stride + 2 * k] = plus[l];
+        out[(g + l) * out_stride + 2 * k + 1] = minus[l];
+      }
+    }
+  }
+}
+
 // The two kernels' transforms of a scaled squared distance, shared by the
 // row fills and the weighted sums.
 struct Matern52Transform {
@@ -380,6 +522,26 @@ void KernelWeightedSumAvx2(const double* x, size_t x_stride, size_t n,
                   Transform(amp2));
 }
 
+// Stencils without a centre to share (d < 2) or wider than the stack
+// scratch take the row fill through its table entry. That keeps
+// KernelRowAvx2 to one caller: given a second one, GCC stopped inlining it
+// and the row fills (Gram matrices, K*) ran about 1.8x slower.
+template <typename Transform>
+void KernelStencilFillAvx2(const double* x, size_t x_stride, size_t n,
+                           const double* q, size_t q_stride, const double* ls,
+                           const double* inv_ls, size_t d, double amp2,
+                           double* out, size_t out_stride) {
+  if (d < 2 || d > kMaxStencilDim) {
+    for (size_t i = 0; i < n; ++i) {
+      KernelRowFillAvx2<Transform>(x + i * x_stride, q, q_stride, 2 * d, ls,
+                                   inv_ls, d, amp2, out + i * out_stride);
+    }
+    return;
+  }
+  StencilFillAvx2(x, x_stride, n, q, q_stride, inv_ls, d, out, out_stride,
+                  Transform(amp2));
+}
+
 constexpr Ops kAvx2Ops = {
     DotAvx2,          NegDotAccumAvx2, AxpyAvx2,
     FnmaAvx2,         SquareAccumAvx2, ScaleAvx2,
@@ -387,6 +549,8 @@ constexpr Ops kAvx2Ops = {
     KernelRowFillAvx2<SqExpTransform>,
     KernelWeightedSumAvx2<Matern52Transform>,
     KernelWeightedSumAvx2<SqExpTransform>,
+    KernelStencilFillAvx2<Matern52Transform>,
+    KernelStencilFillAvx2<SqExpTransform>,
 };
 
 }  // namespace

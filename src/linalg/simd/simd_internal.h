@@ -41,6 +41,15 @@ struct Ops {
                              size_t qt_stride, size_t count, const double* ls,
                              const double* inv_ls, size_t d, double amp2,
                              double* out);
+  void (*matern52_stencil_fill)(const double* x, size_t x_stride, size_t n,
+                                const double* q, size_t q_stride,
+                                const double* ls, const double* inv_ls,
+                                size_t d, double amp2, double* out,
+                                size_t out_stride);
+  void (*sqexp_stencil_fill)(const double* x, size_t x_stride, size_t n,
+                             const double* q, size_t q_stride,
+                             const double* ls, const double* inv_ls, size_t d,
+                             double amp2, double* out, size_t out_stride);
 };
 
 #if defined(RESTUNE_SIMD_AVX2_COMPILED)

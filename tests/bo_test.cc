@@ -432,6 +432,49 @@ TEST(AcqOptimizerTest, ChosenCandidateBitwiseIdenticalAcrossPoolSizes) {
   }
 }
 
+TEST(AcqOptimizerTest, EveryRefinementBlockTakesTheGpStencilPath) {
+  // The GP recognises the refinement's coordinate stencils by their row
+  // order (BuildStencil) and fills their cross-covariance from shared
+  // distance work. A change to that order would lose the gain without
+  // changing a bit; here it fails. One default maximization over a GP
+  // surrogate sends each of its num_refine x refine_passes stencil blocks
+  // down the stencil path once per metric CEI predicts, and none of the
+  // sweep's blocks.
+  const size_t dim = 14, n = 40;
+  Rng rng(17);
+  std::vector<Observation> obs;
+  for (const Vector& theta : LatinHypercubeSample(n, dim, &rng)) {
+    Observation o;
+    o.theta = theta;
+    o.res = 50.0 + 20.0 * theta[0] + rng.Gaussian(0, 0.3);
+    o.tps = 9000.0 - 1500.0 * theta[1] + rng.Gaussian(0, 40.0);
+    o.lat = 5.0 + 2.0 * theta[2] + rng.Gaussian(0, 0.04);
+    obs.push_back(std::move(o));
+  }
+  GpOptions gp_options;
+  gp_options.optimize_hyperparams = false;
+  MultiOutputGp gp(dim, gp_options);
+  ASSERT_TRUE(gp.Fit(obs).ok());
+  const GpSurrogate surrogate(&gp);
+  AcquisitionContext ctx;
+  ctx.has_feasible = true;
+  ctx.best_feasible_res = 55.0;
+  ctx.lambda_tps = 8000.0;
+  ctx.lambda_lat = 7.0;
+  const AcqOptimizerOptions options;
+  obs::Counter* stencil_blocks = obs::MetricsRegistry::Global()->GetCounter(
+      "restune_gp_stencil_blocks_total");
+  const int64_t before = stencil_blocks->Value();
+  const Vector best = MaximizeAcquisitionBatch(
+      [&](const std::vector<Matrix>& blocks) {
+        return ConstrainedExpectedImprovementBatch(surrogate, blocks, ctx);
+      },
+      dim, &rng, options);
+  ASSERT_EQ(best.size(), dim);
+  EXPECT_EQ(stencil_blocks->Value() - before,
+            options.num_refine * options.refine_passes * 3);
+}
+
 TEST(AcqOptimizerTest, ZeroRefineReturnsSweepBest) {
   // With refinement disabled the result must still be the best-scoring
   // candidate of the sweep, not an arbitrary (e.g. the first) sample.

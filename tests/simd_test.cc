@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -268,6 +269,103 @@ TEST(SimdTest, FusedWeightedSumKeepsRowFillPlusAxpyBits) {
   }
   simd::ResetTierForTest();
   EXPECT_EQ(cases, tiers.size() * 17 * 2 * 2 * 3 * 14);
+}
+
+/// The coordinate stencil of the optimizer's refinement around `centre`
+/// at `step`: rows 2k and 2k+1 move column k up and down, clamped to
+/// [0, 1]. With `box`, every row is then clamped into [0.3, 0.7], as a
+/// trust-region projection does.
+Matrix CoordinateStencil(const Vector& centre, double step, bool box) {
+  const size_t d = centre.size();
+  Matrix stencil(2 * d, d);
+  for (size_t k = 0; k < d; ++k) {
+    for (size_t t = 0; t < d; ++t) {
+      stencil(2 * k, t) = centre[t];
+      stencil(2 * k + 1, t) = centre[t];
+    }
+    stencil(2 * k, k) = std::clamp(centre[k] + step, 0.0, 1.0);
+    stencil(2 * k + 1, k) = std::clamp(centre[k] - step, 0.0, 1.0);
+  }
+  if (box) {
+    for (size_t r = 0; r < 2 * d; ++r) {
+      for (size_t t = 0; t < d; ++t) {
+        stencil(r, t) = std::clamp(stencil(r, t), 0.3, 0.7);
+      }
+    }
+  }
+  return stencil;
+}
+
+TEST(SimdTest, StencilFillKeepsRowFillBits) {
+  // Every d mod 4 tail (the changed column in a chain or in the tail),
+  // every group tail of four training rows, three stencil layouts and
+  // lengthscales short enough that most values flush to zero. The layouts:
+  // a plain stencil; one whose centre sits on a training row with every
+  // other coordinate on a face of the box, so half the clamped rows equal
+  // the centre and r = 0 occurs; and a trust-region-projected one.
+  const size_t kRows[] = {1, 2, 3, 5, 30, 80};
+  std::vector<simd::Tier> tiers = {simd::Tier::kScalar};
+  if (simd::Avx2Available()) tiers.push_back(simd::Tier::kAvx2);
+  Rng rng(110);
+  size_t cases = 0;
+  for (simd::Tier tier : tiers) {
+    ASSERT_EQ(simd::ForceTierForTest(tier), tier);
+    for (size_t d = 2; d <= 17; ++d) {
+      for (bool matern : {true, false}) {
+        for (bool flush : {false, true}) {
+          const std::unique_ptr<Kernel> kernel =
+              flush ? ArdKernel(matern, d, 1e-4, 2e-3, &rng)
+                    : ArdKernel(matern, d, 0.05, 2.0, &rng);
+          for (size_t n : kRows) {
+            for (int layout = 0; layout < 3; ++layout) {
+              SCOPED_TRACE(::testing::Message()
+                           << simd::TierName(tier) << " " << kernel->name()
+                           << " d=" << d << " n=" << n << " layout "
+                           << layout << (flush ? " flushing" : ""));
+              Matrix x = RandomMatrix(n, d, &rng);
+              Vector centre = RandomVector(d, &rng);
+              for (double& v : centre) v = 0.5 + 0.25 * v;
+              if (layout == 1) {
+                for (size_t t = 0; t < d; t += 2) {
+                  centre[t] = static_cast<double>((t / 2) % 2);
+                }
+                for (size_t t = 0; t < d; ++t) x(n - 1, t) = centre[t];
+              }
+              const Matrix stencil =
+                  CoordinateStencil(centre, 0.1 + 0.05 * layout, layout == 2);
+              const size_t m = 2 * d, stride = m + 1;
+              // The whole fill, and the same rows in two calls split at a
+              // row that is not a multiple of the lane count.
+              std::vector<double> whole(n * stride), split(n * stride);
+              kernel->EvalStencil(x.RowPtr(0), d, n, stencil.RowPtr(0), d,
+                                  whole.data(), stride);
+              const size_t cut = n / 3;
+              kernel->EvalStencil(x.RowPtr(0), d, cut, stencil.RowPtr(0), d,
+                                  split.data(), stride);
+              kernel->EvalStencil(x.RowPtr(cut), d, n - cut,
+                                  stencil.RowPtr(0), d,
+                                  split.data() + cut * stride, stride);
+              Vector want(m);
+              for (size_t i = 0; i < n; ++i) {
+                kernel->EvalRow(x.RowPtr(i), stencil.RowPtr(0), d, m,
+                                want.data());
+                for (size_t r = 0; r < m; ++r) {
+                  ASSERT_EQ(Bits(whole[i * stride + r]), Bits(want[r]))
+                      << "training row " << i << ", stencil row " << r
+                      << ": " << whole[i * stride + r] << " vs " << want[r];
+                  ASSERT_EQ(Bits(split[i * stride + r]), Bits(want[r]))
+                      << "split training row " << i << ", stencil row " << r;
+                }
+              }
+              ++cases;
+            }
+          }
+        }
+      }
+    }
+  }
+  simd::ResetTierForTest();
+  EXPECT_EQ(cases, tiers.size() * 16 * 2 * 2 * 6 * 3);
 }
 
 TEST(SimdTest, GramMatrixMatchesAcrossTiers) {
