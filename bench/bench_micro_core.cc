@@ -2,7 +2,8 @@
 // Table 3: GP fitting / prediction, acquisition optimization, meta-learner
 // weight updates, and one full simulator evaluation. These quantify the
 // "Model Update" and "Knobs Recommendation" costs independent of workload
-// replay. BM_EnsembleAcquisition times the recommendation step over the
+// replay. BM_TrainBaseLearnersCold times a server's cold base-learner
+// training, BM_EnsembleAcquisition the recommendation step over the
 // meta-learner ensemble. The last two time the served server's durable
 // write: the CRC-32 that seals every file, and one whole checkpoint of the
 // paper repository.
@@ -26,6 +27,8 @@
 #include "common/thread_pool.h"
 #include "dbsim/simulator.h"
 #include "gp/multi_output_gp.h"
+#include "meta/base_learner_cache.h"
+#include "meta/data_repository.h"
 #include "meta/meta_learner.h"
 #include "service/restune_server.h"
 #include "tuner/harness.h"
@@ -76,6 +79,35 @@ void BM_GpHyperparamFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GpHyperparamFit)->Arg(50)->Arg(100);
+
+// Cold training of a repository's base-learners (paper Section 6.3): one
+// multi-output GP per task, with hyper-parameter search, as a server does
+// when it opens its first session. 34 synthetic tasks of 80 observations
+// at 14 knobs; the cache is cleared before each iteration so every learner
+// fits. Axes: task count and pool size.
+void BM_TrainBaseLearnersCold(benchmark::State& state) {
+  const size_t num_tasks = static_cast<size_t>(state.range(0));
+  DataRepository repo;
+  for (size_t b = 0; b < num_tasks; ++b) {
+    TuningTask task;
+    task.name = "task" + std::to_string(b);
+    task.meta_feature = {1.0, 0.0};
+    task.observations = SyntheticObservations(80, 14, 100 + b);
+    (void)repo.AddTask(std::move(task));
+  }
+  ThreadPool pool(static_cast<size_t>(state.range(1)));
+  const auto keep = [](const TuningTask&) { return true; };
+  for (auto _ : state) {
+    state.PauseTiming();
+    BaseLearnerCache::Global()->Clear();
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(repo.TrainBaseLearners(keep, &pool));
+  }
+}
+BENCHMARK(BM_TrainBaseLearnersCold)
+    ->Args({34, 1})
+    ->Args({34, 3})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_GpPredict(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

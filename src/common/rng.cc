@@ -92,32 +92,38 @@ void Rng::FillGaussian(double* out, std::size_t count, ThreadPool* pool) {
     has_cached_gaussian_ = false;
   }
   // The pairs' uniforms, in the order successive Gaussian() calls draw
-  // them. The last pair's second deviate is left in the cache slot, as
-  // Gaussian() leaves it: live after an odd remainder, spent after an even
-  // one (state() records the slot either way).
-  const std::size_t pairs = (count - begin + 1) / 2;
-  if (pairs == 0) return;
+  // them. Each whole pair's two are drawn into the two slots its deviates
+  // go to and transformed there; an odd remainder's last pair has one slot,
+  // so its uniforms stay apart and its second deviate goes to the cache
+  // slot, as Gaussian() leaves it: live after an odd remainder, spent after
+  // an even one (state() records the slot either way).
+  double* const slots = out + begin;
+  const std::size_t whole = (count - begin) / 2;
   const bool odd = (count - begin) % 2 != 0;
-  std::vector<double> uniforms(2 * pairs);
-  for (std::size_t p = 0; p < pairs; ++p) {
-    double u1;
+  const auto draw_pair = [this](double* u1, double* u2) {
     do {
-      u1 = Uniform();
-    } while (u1 <= 0.0);
-    uniforms[2 * p] = u1;
-    uniforms[2 * p + 1] = Uniform();
+      *u1 = Uniform();
+    } while (*u1 <= 0.0);
+    *u2 = Uniform();
+  };
+  for (std::size_t p = 0; p < whole; ++p) {
+    draw_pair(&slots[2 * p], &slots[2 * p + 1]);
   }
-  double tail = 0.0;
-  ResolvePool(pool)->ParallelForRanges(pairs, [&](std::size_t lo,
+  double tail_u1 = 0.0;
+  double tail_u2 = 0.0;
+  if (odd) draw_pair(&tail_u1, &tail_u2);
+  ResolvePool(pool)->ParallelForRanges(whole, [&](std::size_t lo,
                                                   std::size_t hi) {
     for (std::size_t p = lo; p < hi; ++p) {
-      double* slot = out + begin + 2 * p;
-      const bool last_odd = odd && p + 1 == pairs;
-      BoxMuller(uniforms[2 * p], uniforms[2 * p + 1], &slot[0],
-                last_odd ? &tail : &slot[1]);
+      double* pair = slots + 2 * p;
+      BoxMuller(pair[0], pair[1], &pair[0], &pair[1]);
     }
   });
-  cached_gaussian_ = odd ? tail : out[count - 1];
+  if (odd) {
+    BoxMuller(tail_u1, tail_u2, &out[count - 1], &cached_gaussian_);
+  } else if (whole > 0) {
+    cached_gaussian_ = out[count - 1];
+  }
   has_cached_gaussian_ = odd;
 }
 

@@ -12,8 +12,18 @@
 
 namespace restune {
 
-/// Fixed-size worker pool for data-parallel loops in the BO hot path
-/// (batch GP inference, acquisition sweeps, hyper-parameter restarts).
+/// Fixed-size worker pool for data-parallel loops. The loops that fan out
+/// from a top-level caller:
+/// * the BO hot path: acquisition scoring as (block, metric) tasks
+///   (`bo/acquisition.cc`), batch GP inference (`GpModel::PredictBatch`
+///   K* rows and solve stripes, `PredictMeanBatch` query ranges), Gram
+///   rows, `Cholesky::InverseDiagonal` columns, hyper-parameter restarts,
+///   the meta-learner's per-base prediction-cache extension and its
+///   ranking-loss passes (`Rng::FillGaussian`, the misranked-pair rows);
+/// * cold-start training: one task per base-learner
+///   (`DataRepository::TrainBaseLearners`), per tree (`RandomForest::Fit`,
+///   `QuantileForest::Fit`) and per paper-repository task
+///   (`BuildPaperRepository`); the fits' own loops run inline in them.
 ///
 /// Determinism contract: `ParallelFor` partitions an index range into
 /// contiguous chunks and each `fn(i)` may only write to state owned by

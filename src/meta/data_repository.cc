@@ -2,8 +2,10 @@
 
 #include <array>
 #include <memory>
+#include <optional>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "gp/gp_serialization.h"
 #include "meta/base_learner_cache.h"
 
@@ -22,13 +24,28 @@ Status DataRepository::AddTask(TuningTask task) {
 }
 
 std::vector<BaseLearner> DataRepository::TrainBaseLearners(
-    const std::function<bool(const TuningTask&)>& keep) const {
-  std::vector<BaseLearner> learners;
+    const std::function<bool(const TuningTask&)>& keep,
+    ThreadPool* pool) const {
+  // `keep` may count the tasks it sees (the server's snapshot filter does),
+  // so it runs serially, in task order.
+  std::vector<const TuningTask*> kept;
   for (const TuningTask& task : tasks_) {
-    if (!keep(task)) continue;
-    Result<BaseLearner> learner = BaseLearner::Train(task);
+    if (keep(task)) kept.push_back(&task);
+  }
+  // One pool task per learner, each writing only its own slot. A fit's
+  // nested loops (restarts, Gram rows) then run inline, so every learner
+  // has the bits of a serial `BaseLearner::Train` at any pool size.
+  std::vector<std::optional<Result<BaseLearner>>> trained(kept.size());
+  ResolvePool(pool)->ParallelFor(kept.size(), [&](size_t i) {
+    trained[i] = BaseLearner::Train(*kept[i]);
+  });
+  std::vector<BaseLearner> learners;
+  learners.reserve(kept.size());
+  for (size_t i = 0; i < kept.size(); ++i) {
+    Result<BaseLearner>& learner = *trained[i];
     if (!learner.ok()) {
-      RESTUNE_LOG(kWarning) << "skipping base-learner for task '" << task.name
+      RESTUNE_LOG(kWarning) << "skipping base-learner for task '"
+                            << kept[i]->name
                             << "': " << learner.status().ToString();
       continue;
     }

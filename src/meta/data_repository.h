@@ -11,6 +11,8 @@
 
 namespace restune {
 
+class ThreadPool;
+
 /// The backend store of historical tuning meta-data (paper Section 4,
 /// "Data Repository"): one `TuningTask` per past tuning run, from which
 /// base-learners are trained on demand and cached.
@@ -29,11 +31,15 @@ class DataRepository {
   size_t num_tasks() const { return tasks_.size(); }
   const std::vector<TuningTask>& tasks() const { return tasks_; }
 
-  /// Trains (and caches) base-learners for the tasks selected by `keep`.
-  /// Training failures for individual tasks are skipped with a warning —
-  /// a corrupt history must not block tuning.
+  /// Trains (and caches) base-learners for the tasks selected by `keep`,
+  /// in task order. Training failures for individual tasks are skipped with
+  /// a warning — a corrupt history must not block tuning. `keep` is called
+  /// once per task, serially and in order; the fits then run as one loop
+  /// on `pool` (null = the shared pool) and keep their bits at any pool
+  /// size. Two tasks with the same fingerprint in one call may both fit.
   std::vector<BaseLearner> TrainBaseLearners(
-      const std::function<bool(const TuningTask&)>& keep) const;
+      const std::function<bool(const TuningTask&)>& keep,
+      ThreadPool* pool = nullptr) const;
 
   /// All tasks (the paper's original setting).
   std::vector<BaseLearner> TrainAllBaseLearners() const;

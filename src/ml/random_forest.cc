@@ -3,13 +3,15 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/thread_pool.h"
+
 namespace restune {
 
 RandomForest::RandomForest(RandomForestOptions options)
     : options_(options) {}
 
 Status RandomForest::Fit(const Matrix& x, const std::vector<int>& y,
-                         int num_classes) {
+                         int num_classes, ThreadPool* pool) {
   if (x.rows() != y.size()) {
     return Status::InvalidArgument("x rows and y size differ");
   }
@@ -19,29 +21,44 @@ Status RandomForest::Fit(const Matrix& x, const std::vector<int>& y,
   Rng rng(options_.seed);
 
   const size_t n = x.rows();
-  // votes[i][c]: out-of-bag votes for class c on sample i.
+  const size_t num_trees =
+      options_.num_trees > 0 ? static_cast<size_t>(options_.num_trees) : 0;
+  // Draw every tree's bootstrap and generator first, in the order one
+  // tree after another draws them; then grow the trees as one pool loop,
+  // each into its own slot, so the forest has the same bits at any pool
+  // size.
+  std::vector<std::vector<size_t>> bootstraps(num_trees,
+                                              std::vector<size_t>(n));
+  std::vector<Rng> tree_rngs;
+  tree_rngs.reserve(num_trees);
+  for (std::vector<size_t>& bootstrap : bootstraps) {
+    for (size_t& row : bootstrap) row = static_cast<size_t>(rng.UniformInt(n));
+    tree_rngs.push_back(rng.Fork());
+  }
+  trees_.resize(num_trees);
+  std::vector<Status> grown(num_trees);
+  ResolvePool(pool)->ParallelFor(num_trees, [&](size_t t) {
+    grown[t] = trees_[t].Fit(x, y, num_classes, bootstraps[t], &tree_rngs[t],
+                             options_.tree);
+  });
+
+  // votes[i][c]: out-of-bag votes for class c on sample i, summed in tree
+  // order.
   std::vector<std::vector<double>> oob_votes(n,
                                              std::vector<double>(num_classes));
   std::vector<bool> in_bag(n);
-
-  trees_.reserve(options_.num_trees);
-  for (int t = 0; t < options_.num_trees; ++t) {
-    std::fill(in_bag.begin(), in_bag.end(), false);
-    std::vector<size_t> bootstrap(n);
-    for (size_t i = 0; i < n; ++i) {
-      bootstrap[i] = static_cast<size_t>(rng.UniformInt(n));
-      in_bag[bootstrap[i]] = true;
+  for (size_t t = 0; t < num_trees; ++t) {
+    if (!grown[t].ok()) {
+      trees_.clear();
+      return grown[t];
     }
-    DecisionTree tree;
-    Rng tree_rng = rng.Fork();
-    RESTUNE_RETURN_IF_ERROR(
-        tree.Fit(x, y, num_classes, bootstrap, &tree_rng, options_.tree));
+    std::fill(in_bag.begin(), in_bag.end(), false);
+    for (size_t row : bootstraps[t]) in_bag[row] = true;
     for (size_t i = 0; i < n; ++i) {
       if (in_bag[i]) continue;
-      const Vector proba = tree.PredictProba(x.Row(i));
+      const Vector proba = trees_[t].PredictProba(x.Row(i));
       for (int c = 0; c < num_classes; ++c) oob_votes[i][c] += proba[c];
     }
-    trees_.push_back(std::move(tree));
   }
 
   size_t evaluated = 0, correct = 0;

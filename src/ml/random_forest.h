@@ -9,6 +9,8 @@
 
 namespace restune {
 
+class ThreadPool;
+
 /// Random-forest options.
 struct RandomForestOptions {
   int num_trees = 40;
@@ -25,8 +27,10 @@ class RandomForest {
   explicit RandomForest(RandomForestOptions options = {});
 
   /// Fits `num_trees` trees on bootstrap resamples of (x, y); labels must be
-  /// in [0, num_classes).
-  Status Fit(const Matrix& x, const std::vector<int>& y, int num_classes);
+  /// in [0, num_classes). The trees grow as one loop on `pool` (null = the
+  /// shared pool); the forest has the same bits at any pool size.
+  Status Fit(const Matrix& x, const std::vector<int>& y, int num_classes,
+             ThreadPool* pool = nullptr);
 
   /// Mean class distribution over the trees.
   Vector PredictProba(const Vector& features) const;

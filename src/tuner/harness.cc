@@ -2,10 +2,12 @@
 
 #include <cstdlib>
 #include <functional>
+#include <iterator>
 #include <memory>
 
 #include "bo/lhs.h"
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "tuner/cbo_advisor.h"
 #include "tuner/cdbtune_advisor.h"
 #include "tuner/grid_advisor.h"
@@ -161,16 +163,23 @@ DataRepository BuildPaperRepository(const KnobSpace& space,
                                     const WorkloadCharacterizer& characterizer,
                                     const ExperimentConfig& config,
                                     size_t observations_per_task) {
+  const std::vector<WorkloadProfile> workloads = RepositoryWorkloads();
+  const HardwareSpec instances[] = {HardwareInstance('A').value(),
+                                    HardwareInstance('B').value()};
+  // Each task is seeded from its own name, so the tasks are collected as
+  // one pool loop into their own slots and added in (instance, workload)
+  // order.
+  std::vector<TuningTask> tasks(std::size(instances) * workloads.size());
+  ThreadPool::Shared()->ParallelFor(tasks.size(), [&](size_t i) {
+    tasks[i] = CollectHistoryTask(space, instances[i / workloads.size()],
+                                  workloads[i % workloads.size()],
+                                  characterizer, config, observations_per_task);
+  });
   DataRepository repo;
-  for (char label : {'A', 'B'}) {
-    const HardwareSpec hw = HardwareInstance(label).value();
-    for (const WorkloadProfile& w : RepositoryWorkloads()) {
-      TuningTask task = CollectHistoryTask(space, hw, w, characterizer,
-                                           config, observations_per_task);
-      const Status st = repo.AddTask(std::move(task));
-      if (!st.ok()) {
-        RESTUNE_LOG(kWarning) << "repository task skipped: " << st.ToString();
-      }
+  for (TuningTask& task : tasks) {
+    const Status st = repo.AddTask(std::move(task));
+    if (!st.ok()) {
+      RESTUNE_LOG(kWarning) << "repository task skipped: " << st.ToString();
     }
   }
   return repo;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -31,6 +33,12 @@
 
 namespace restune {
 namespace {
+
+/// A file name under the test temp directory that is this process's own:
+/// ctest runs this binary twice at once (`*_threads1` at one thread).
+std::string TempPath(const std::string& name) {
+  return testing::TempDir() + "/" + std::to_string(getpid()) + "_" + name;
+}
 
 DbInstanceSimulator CaseStudySimulator(uint64_t seed,
                                        FaultInjectionOptions faults = {}) {
@@ -751,7 +759,7 @@ EventSessionCheckpoint FaultyHaltedCheckpoint(const std::string& path) {
 }
 
 TEST(EventCheckpointTest, RestoresEveryRecordFieldBitIdentically) {
-  const std::string path = testing::TempDir() + "/event_forms.ckpt";
+  const std::string path = TempPath("event_forms.ckpt");
   const EventSessionCheckpoint checkpoint = FaultyHaltedCheckpoint(path);
   ASSERT_FALSE(checkpoint.in_flight.empty());
   ASSERT_TRUE(std::any_of(checkpoint.records.begin(), checkpoint.records.end(),
@@ -782,9 +790,8 @@ std::string BytesWithoutMetrics(const std::string& path) {
 }
 
 TEST_F(EventSessionTest, KillAndResumeMidFlightReplaysByteIdentical) {
-  const std::string control_path =
-      testing::TempDir() + "/event_control.ckpt";
-  const std::string halted_path = testing::TempDir() + "/event_halted.ckpt";
+  const std::string control_path = TempPath("event_control.ckpt");
+  const std::string halted_path = TempPath("event_halted.ckpt");
   const FaultInjectionOptions faults = TwentyPercentFaults(21);
 
   EventSessionOptions base;
@@ -908,7 +915,7 @@ Status ResumeFromEdited(const std::string& path,
 }
 
 TEST(EventCheckpointTest, ResumeRejectsLaunchCountThatDisagreesWithLog) {
-  const std::string path = testing::TempDir() + "/event_launched.ckpt";
+  const std::string path = TempPath("event_launched.ckpt");
   EventSessionCheckpoint checkpoint = HaltedCheckpoint(path);
   ASSERT_EQ(checkpoint.launched, 12u);
   ASSERT_EQ(checkpoint.in_flight.size(), 2u);
@@ -921,7 +928,7 @@ TEST(EventCheckpointTest, ResumeRejectsLaunchCountThatDisagreesWithLog) {
 }
 
 TEST(EventCheckpointTest, ResumeRejectsDuplicateLaunchSeq) {
-  const std::string path = testing::TempDir() + "/event_duplicate.ckpt";
+  const std::string path = TempPath("event_duplicate.ckpt");
   EventSessionCheckpoint checkpoint = HaltedCheckpoint(path);
   ASSERT_EQ(checkpoint.in_flight.size(), 2u);
   // Renumber the last launch (still in flight) to the seq of the one
@@ -943,7 +950,7 @@ TEST(EventCheckpointTest, ResumeRejectsDuplicateLaunchSeq) {
 }
 
 TEST_F(EventSessionTest, ResumeWithDivergentAdvisorSeedFailsLoudly) {
-  const std::string path = testing::TempDir() + "/event_diverge.ckpt";
+  const std::string path = TempPath("event_diverge.ckpt");
   EventSessionOptions options;
   options.max_iterations = 8;
   options.fault.checkpoint_path = path;
@@ -968,7 +975,7 @@ TEST_F(EventSessionTest, ResumeWithoutPathOrFileFails) {
   EXPECT_EQ(
       EventTuningSession(&sim, &advisor, options).Resume().status().code(),
       StatusCode::kFailedPrecondition);
-  options.fault.checkpoint_path = testing::TempDir() + "/no_such_event.ckpt";
+  options.fault.checkpoint_path = TempPath("no_such_event.ckpt");
   EXPECT_EQ(
       EventTuningSession(&sim, &advisor, options).Resume().status().code(),
       StatusCode::kNotFound);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -10,9 +12,12 @@
 #include "bo/acq_optimizer.h"
 #include "bo/acquisition.h"
 #include "bo/lhs.h"
+#include "common/byte_codec.h"
 #include "common/fnv.h"
 #include "common/thread_pool.h"
+#include "gp/gp_serialization.h"
 #include "meta/base_learner.h"
+#include "meta/base_learner_cache.h"
 #include "meta/data_repository.h"
 #include "meta/meta_feature.h"
 #include "meta/meta_learner.h"
@@ -22,6 +27,12 @@
 
 namespace restune {
 namespace {
+
+/// A file name under the test temp directory that is this process's own:
+/// ctest runs this binary twice at once (`*_threads1` at one thread).
+std::string TempPath(const std::string& name) {
+  return testing::TempDir() + "/" + std::to_string(getpid()) + "_" + name;
+}
 
 Observation MakeObs(Vector theta, double res, double tps, double lat) {
   Observation o;
@@ -508,7 +519,7 @@ TEST(DataRepositoryTest, SaveLoadRoundTrip) {
   DataRepository repo;
   ASSERT_TRUE(repo.AddTask(LinearTask("alpha", 1.5, 5)).ok());
   ASSERT_TRUE(repo.AddTask(LinearTask("beta", -0.5, 7)).ok());
-  const std::string path = testing::TempDir() + "/repo_roundtrip.bin";
+  const std::string path = TempPath("repo_roundtrip.bin");
   ASSERT_TRUE(repo.SaveToFile(path).ok());
 
   DataRepository loaded;
@@ -564,7 +575,7 @@ TEST(DataRepositoryTest, InternalsRoundTripBitIdentically) {
   }
   ASSERT_TRUE(repo.AddTask(alpha).ok());
   ASSERT_TRUE(repo.AddTask(LinearTask("beta", -0.7, 4)).ok());
-  const std::string path = testing::TempDir() + "/repo_internals.bin";
+  const std::string path = TempPath("repo_internals.bin");
   ASSERT_TRUE(repo.SaveToFile(path).ok());
   DataRepository loaded;
   ASSERT_TRUE(loaded.LoadFromFile(path).ok());
@@ -578,7 +589,7 @@ TEST(DataRepositoryTest, NamesWithSpacesRoundTripExactly) {
   task.hardware = "instance A (8 cores)";
   task.workload = " tpcc  100 warehouses ";
   ASSERT_TRUE(repo.AddTask(task).ok());
-  const std::string path = testing::TempDir() + "/repo_spaces.bin";
+  const std::string path = TempPath("repo_spaces.bin");
   ASSERT_TRUE(repo.SaveToFile(path).ok());
   DataRepository loaded;
   ASSERT_TRUE(loaded.LoadFromFile(path).ok());
@@ -592,7 +603,7 @@ TEST(DataRepositoryTest, NamesWithSpacesRoundTripExactly) {
 TEST(DataRepositoryTest, JunkThetaTokenIsAStatusNotAThrow) {
   // A text repository line with a non-numeric θ token: refused with a
   // Status, never an exception escaping to the caller.
-  const std::string path = testing::TempDir() + "/repo_junk.txt";
+  const std::string path = TempPath("repo_junk.txt");
   FILE* f = fopen(path.c_str(), "w");
   ASSERT_NE(f, nullptr);
   fputs("task t A w\nmeta 0.5\nobs 0.5 junk | 1 2 3\nend\n", f);
@@ -608,7 +619,7 @@ TEST(DataRepositoryTest, JunkThetaTokenIsAStatusNotAThrow) {
 TEST(DataRepositoryTest, FailedSaveLeavesThePreviousFileIntact) {
   DataRepository repo;
   ASSERT_TRUE(repo.AddTask(LinearTask("kept", 1.0, 5)).ok());
-  const std::string path = testing::TempDir() + "/repo_atomic.bin";
+  const std::string path = TempPath("repo_atomic.bin");
   ASSERT_TRUE(repo.SaveToFile(path).ok());
   // A learner whose GP was never fitted cannot be written; the failed save
   // must neither tear the existing file nor leave a temp file behind.
@@ -626,7 +637,7 @@ TEST(DataRepositoryTest, FailedSaveLeavesThePreviousFileIntact) {
 }
 
 TEST(DataRepositoryTest, LoadRejectsMalformedFile) {
-  const std::string path = testing::TempDir() + "/repo_bad.txt";
+  const std::string path = TempPath("repo_bad.txt");
   FILE* f = fopen(path.c_str(), "w");
   fputs("task broken A w\nobs 0.5 | 1 2\nend\n", f);
   fclose(f);
@@ -635,6 +646,80 @@ TEST(DataRepositoryTest, LoadRejectsMalformedFile) {
   std::remove(path.c_str());
 }
 
+
+/// A learner's name, meta-feature, fingerprint, standardizer and the
+/// `WriteGpModel` bytes of its three GPs.
+std::string LearnerBytes(const BaseLearner& learner) {
+  ByteWriter out;
+  out.PutString(learner.name());
+  out.PutVector(learner.meta_feature());
+  out.PutString(learner.fingerprint());
+  for (MetricKind kind : kAllMetricKinds) {
+    out.PutF64(learner.standardizer().mean(kind));
+    out.PutF64(learner.standardizer().stddev(kind));
+  }
+  EXPECT_TRUE(WriteMultiOutputGp(&out, learner.gp()).ok());
+  return out.str();
+}
+
+/// Five 14-knob tasks with an untrainable one (a NaN knob value) third.
+DataRepository RepositoryWithAnInvalidTask() {
+  DataRepository repo;
+  for (uint64_t b = 0; b < 5; ++b) {
+    TuningTask task;
+    task.name = "pool_task" + std::to_string(b);
+    task.meta_feature = {1.0, static_cast<double>(b)};
+    task.observations = SyntheticObservations(24, 14, 300 + b);
+    if (b == 2) task.observations[5].theta[3] = std::nan("");
+    EXPECT_TRUE(repo.AddTask(std::move(task)).ok());
+  }
+  return repo;
+}
+
+TEST(DataRepositoryTest, PooledTrainingKeepsSerialBitsAndOrder) {
+  const DataRepository repo = RepositoryWithAnInvalidTask();
+  std::vector<std::string> expected;
+  for (const TuningTask& task : repo.tasks()) {
+    BaseLearnerCache::Global()->Clear();
+    Result<BaseLearner> learner = BaseLearner::Train(task);
+    if (learner.ok()) expected.push_back(LearnerBytes(learner.value()));
+  }
+  ASSERT_EQ(expected.size(), 4u);
+
+  for (size_t threads : {1, 4}) {
+    ThreadPool pool(threads);
+    BaseLearnerCache::Global()->Clear();
+    const std::vector<BaseLearner> learners = repo.TrainBaseLearners(
+        [](const TuningTask&) { return true; }, &pool);
+    ASSERT_EQ(learners.size(), expected.size()) << threads << " threads";
+    // The invalid third task is skipped in place.
+    const std::vector<std::string> names = {"pool_task0", "pool_task1",
+                                            "pool_task3", "pool_task4"};
+    for (size_t i = 0; i < learners.size(); ++i) {
+      EXPECT_EQ(learners[i].name(), names[i]);
+      EXPECT_EQ(LearnerBytes(learners[i]), expected[i])
+          << "learner " << i << " at " << threads << " threads";
+    }
+  }
+}
+
+TEST(DataRepositoryTest, StatefulKeepRunsOncePerTaskInOrder) {
+  const DataRepository repo = RepositoryWithAnInvalidTask();
+  ThreadPool pool(4);
+  std::vector<std::string> seen;
+  const std::vector<BaseLearner> learners = repo.TrainBaseLearners(
+      [&seen](const TuningTask& task) {
+        seen.push_back(task.name);
+        return seen.size() % 2 == 1;  // the first, third and fifth task
+      },
+      &pool);
+  EXPECT_EQ(seen, (std::vector<std::string>{"pool_task0", "pool_task1",
+                                            "pool_task2", "pool_task3",
+                                            "pool_task4"}));
+  ASSERT_EQ(learners.size(), 2u);  // the third is invalid
+  EXPECT_EQ(learners[0].name(), "pool_task0");
+  EXPECT_EQ(learners[1].name(), "pool_task4");
+}
 
 TEST(DataRepositoryTest, CompactMergesAndSubsamples) {
   DataRepository repo;

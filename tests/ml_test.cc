@@ -212,6 +212,27 @@ TEST(RandomForestTest, ProbaAveragesAcrossTrees) {
   EXPECT_GT(p[0], p[1]);
 }
 
+TEST(RandomForestTest, DeterministicForAnyPoolSize) {
+  Rng rng(4);
+  const size_t n = 150;
+  Matrix x(n, 3);
+  std::vector<int> y(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t c = 0; c < 3; ++c) x(i, c) = rng.Uniform();
+    y[i] = static_cast<int>(3.0 * x(i, 0)) % 3;
+  }
+  ThreadPool serial(1);
+  ThreadPool wide(4);
+  RandomForest a, b;
+  ASSERT_TRUE(a.Fit(x, y, 3, &serial).ok());
+  ASSERT_TRUE(b.Fit(x, y, 3, &wide).ok());
+  EXPECT_EQ(a.oob_accuracy(), b.oob_accuracy());
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(a.PredictProba(x.Row(i)), b.PredictProba(x.Row(i)))
+        << "row " << i;
+  }
+}
+
 TEST(RandomForestTest, RejectsEmptyInput) {
   RandomForest forest;
   EXPECT_FALSE(forest.Fit(Matrix(), {}, 2).ok());

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <set>
 
+#include "common/fnv.h"
 #include "tuner/cbo_advisor.h"
 #include "tuner/cdbtune_advisor.h"
 #include "tuner/grid_advisor.h"
@@ -349,6 +350,49 @@ TEST(HarnessTest, CollectHistoryTaskShape) {
     if (obs.theta == def) has_default = true;
   }
   EXPECT_TRUE(has_default);
+}
+
+// Pins the default characterizer and the paper repository built with it:
+// one FNV-1a hash of the five standard workloads' meta-features and the
+// forest's out-of-bag accuracy, and one of every repository task's names,
+// meta-feature, θ, metrics and internals. Both are built on the shared
+// pool, so the same bits are expected at any pool size. Recorded from a
+// GCC build, like the repository's other bit-exact pins.
+TEST(HarnessPinTest, DefaultCharacterizerKeepsItsBits) {
+  const WorkloadCharacterizer characterizer = TrainDefaultCharacterizer();
+  Fnv1a hash;
+  for (const WorkloadProfile& w : StandardWorkloads()) {
+    for (double v : ComputeMetaFeature(characterizer, w)) hash.AddDouble(v);
+  }
+  hash.AddDouble(characterizer.oob_accuracy());
+  EXPECT_GT(characterizer.oob_accuracy(), 0.0);
+#if defined(__GNUC__) && !defined(__clang__)
+  EXPECT_EQ(hash.hash(), 0x5717d531bde634adull) << "hash 0x" << hash.Hex();
+#endif
+}
+
+TEST(HarnessPinTest, PaperRepositoryKeepsItsBits) {
+  const DataRepository repo = BuildPaperRepository(
+      CpuKnobSpace(), TrainDefaultCharacterizer(), ExperimentConfig{});
+  ASSERT_EQ(repo.num_tasks(), 34u);
+  Fnv1a hash;
+  for (const TuningTask& task : repo.tasks()) {
+    hash.AddString(task.name);
+    hash.AddString(task.hardware);
+    hash.AddString(task.workload);
+    for (double v : task.meta_feature) hash.AddDouble(v);
+    hash.AddU64(task.observations.size());
+    for (const Observation& obs : task.observations) {
+      for (double v : obs.theta) hash.AddDouble(v);
+      hash.AddDouble(obs.res);
+      hash.AddDouble(obs.tps);
+      hash.AddDouble(obs.lat);
+      for (double v : obs.internals) hash.AddDouble(v);
+    }
+  }
+#if defined(__GNUC__) && !defined(__clang__)
+  EXPECT_EQ(hash.hash(), 0x1460005cc445b1eeull) << "hash 0x" << hash.Hex();
+#endif
 }
 
 TEST(HarnessTest, RunMethodAllKindsSmoke) {
